@@ -109,3 +109,40 @@ def test_client_evaluation(benchmark):
 
     preds = benchmark(evaluate)
     assert preds.shape == (128,)
+
+
+@pytest.mark.parametrize("arch", ["resnet18", "shufflenetv2", "googlenet", "alexnet"])
+def test_training_step_never_scatters(arch):
+    """The scatter must not creep back: no ``np.add.at`` in a model's training step.
+
+    ufunc attributes cannot be monkey-patched, so the calls are counted
+    under cProfile, where a C method shows up by its qualified name.  The
+    one call a step may make is ``getitem``'s advanced-index fallback for
+    cross-entropy's label pick (an ``(N, classes)`` array, once per step).
+    """
+    import cProfile
+    import pstats
+
+    from repro.optim import Adam
+
+    model = build_model(arch, in_channels=3, num_classes=10, scale="tiny", rng=np.random.default_rng(0))
+    opt = Adam(model.parameters(), lr=1e-3)
+    xb = rng.normal(size=(8, 3, 16, 16))
+    yb = rng.integers(0, 10, 8)
+
+    profile = cProfile.Profile()
+    profile.enable()
+    opt.zero_grad()
+    feat_a, feat_b = model.features(Tensor(xb)), model.features(Tensor(xb[::-1].copy()))
+    loss = cross_entropy(model.classifier(feat_a), yb) + supcon_loss(feat_a, feat_b, yb)
+    loss.backward()
+    opt.step()
+    profile.disable()
+
+    stats = pstats.Stats(profile).stats
+    assert any(fn[2] == "conv2d" for fn in stats), "the profile did not see the step"
+    callers = {}
+    for fn, (*_, called_from) in stats.items():
+        if "'at' of 'numpy.ufunc'" in fn[2]:
+            callers = {f"{c[0].rsplit('/', 1)[-1]}:{c[2]}": n[0] for c, n in called_from.items()}
+    assert callers in ({}, {"shape_ops.py:backward": 1}), f"{arch}: ufunc.at called from {callers}"

@@ -20,7 +20,10 @@
 # The overhead benchmark re-asserts the <5% telemetry budget (null
 # backend, health monitor, and memprof+recorder enabled-but-idle) so an
 # instrumentation regression fails CI even when no functional test sees
-# it.  Runs from any working directory.
+# it.  `bench.run --smoke` runs the repo benchmark's four workloads at toy
+# size with every correctness check on, and the substrate micro-benchmarks
+# assert that no `ufunc.at` scatter is back on the training path.  Runs
+# from any working directory.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -136,6 +139,14 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "== telemetry overhead budget =="
     python -m pytest -x -q benchmarks/test_telemetry_overhead.py
+
+    echo "== substrate guard: no scatter on the training path =="
+    python -m pytest -x -q --benchmark-disable benchmarks/test_substrate_micro.py
+
+    echo "== repo benchmark smoke =="
+    # every workload at toy size (< 60 s); exits non-zero on any failed
+    # correctness check, including sim_hetero == tcp_hetero digests
+    python -m bench.run --smoke
 fi
 
 echo "== CI OK =="

@@ -97,6 +97,18 @@ def local_update(
         else contextlib.nullcontext(None)
     )
 
+    # the proximal reference is fixed for the whole update: resolve the
+    # (parameter, broadcast value) pairing once, not per batch
+    prox_pairs = prox_ref = None
+    if config.use_proximal and reference_state is not None:
+        if config.proximal_on == "classifier":
+            prox_pairs = model.classifier_parameters()
+            names = {k for k, _ in prox_pairs}
+            prox_ref = {k: v for k, v in reference_state.items() if k in names}
+        else:
+            prox_pairs = list(model.named_parameters())
+            prox_ref = {k: reference_state[k] for k, _ in prox_pairs}
+
     losses: list[float] = []
     with (
         telemetry.context(client=client.client_id),
@@ -124,15 +136,8 @@ def local_update(
                     logits = model(Tensor(xb))
                     loss = cross_entropy(logits, yb)
 
-                if config.use_proximal and reference_state is not None:
-                    if config.proximal_on == "classifier":
-                        pairs = model.classifier_parameters()
-                        ref = {k: v for k, v in reference_state.items() if k in dict(pairs)}
-                        prox = proximal_l2(pairs, ref, squared=config.proximal_squared)
-                    else:
-                        pairs = list(model.named_parameters())
-                        ref = {k: reference_state[k] for k, _ in pairs}
-                        prox = proximal_l2(pairs, ref, squared=config.proximal_squared)
+                if prox_pairs is not None:
+                    prox = proximal_l2(prox_pairs, prox_ref, squared=config.proximal_squared)
                     loss = loss + config.rho * prox
 
                 loss.backward()
@@ -140,7 +145,8 @@ def local_update(
                     sq = 0.0
                     for p in client.optimizer.params:
                         if p.grad is not None:
-                            sq += float((p.grad**2).sum())
+                            g = p.grad.ravel()
+                            sq += float(np.vdot(g, g))
                     grad_norms.append(float(np.sqrt(sq)))
                 client.optimizer.step()
                 losses.append(loss.item())

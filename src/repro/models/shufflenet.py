@@ -4,7 +4,8 @@ Implements the two V2 unit types: the basic unit (channel split → half
 passes through a 1×1 → 3×3 → 1×1 branch → concat → channel shuffle) and
 the stride-2 downsampling unit (both halves transformed).  Depthwise
 convolutions are realized as grouped convs with ``groups == channels``
-via per-channel 2-D convolution lowered through the same im2col kernel.
+via per-channel 2-D convolution lowered through the same strided-copy
+column matrix as the dense kernel (one matrix-vector product per channel).
 """
 
 from __future__ import annotations

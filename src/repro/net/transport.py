@@ -324,16 +324,27 @@ class TcpTransport:
                 l.alive and l.client_ids and not l.said_bye for l in self.live_links()
             ):
                 time.sleep(0.01)
-        self._closing = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._stop_listening()
         for link in list(self._links):
             link.conn.close()
         for t in self._threads:
             t.join(timeout=5.0)
+
+    def _stop_listening(self) -> None:
+        """Set the closing flag and wake the accept thread.
+
+        ``close()`` alone does not interrupt a thread already blocked in
+        ``accept()``; shutting the listening socket down does (the accept
+        fails with ``OSError``), so the thread exits now instead of
+        running out the join timeout.
+        """
+        self._closing = True
+        if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never listened, or already shut down
+            self._listener.close()
 
     def abort(self) -> None:
         """Simulate a server crash: drop every socket with no goodbye.
@@ -343,12 +354,7 @@ class TcpTransport:
         what the crash-resume tests need to exercise the worker's
         reconnect-and-REJOIN path against a resumed server.
         """
-        self._closing = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._stop_listening()
         for link in list(self._links):
             link.alive = False  # no events, no BYE-ack wait on a later close()
             link.conn.close()

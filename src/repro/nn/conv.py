@@ -1,4 +1,4 @@
-"""Convolution layer wrapping the im2col kernel."""
+"""Convolution layer wrapping the im2col + single-GEMM kernel."""
 
 from __future__ import annotations
 

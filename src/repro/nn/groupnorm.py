@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, standardize
 
 __all__ = ["GroupNorm", "LayerNorm"]
 
@@ -39,11 +39,7 @@ class GroupNorm(Module):
         if c != self.num_channels:
             raise ValueError(f"expected {self.num_channels} channels, got {c}")
         g = self.num_groups
-        xg = x.reshape(n, g, (c // g) * h * w)
-        mu = xg.mean(axis=2, keepdims=True)
-        centered = xg - mu
-        var = (centered * centered).mean(axis=2, keepdims=True)
-        normed = centered * (var + self.eps) ** -0.5
+        normed, _, _ = standardize(x.reshape(n, g, (c // g) * h * w), (2,), self.eps)
         out = normed.reshape(n, c, h, w)
         if self.weight is not None:
             out = out * self.weight.reshape(1, c, 1, 1) + self.bias.reshape(1, c, 1, 1)
@@ -69,10 +65,7 @@ class LayerNorm(Module):
             raise ValueError(
                 f"expected last dim {self.normalized_shape}, got {x.shape[-1]}"
             )
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        out = centered * (var + self.eps) ** -0.5
+        out, _, _ = standardize(x, (-1,), self.eps)
         if self.weight is not None:
             out = out * self.weight + self.bias
         return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, standardize
 
 __all__ = ["BatchNorm2d", "BatchNorm1d"]
 
@@ -40,31 +40,28 @@ class _BatchNorm(Module):
         raise NotImplementedError
 
     def forward(self, x: Tensor) -> Tensor:
-        axes = self._stats_axes(x)
         shape = self._reshape_param(None, x.ndim)
         if self.training:
-            mu = x.mean(axis=axes, keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            # Update running stats outside the tape.
+            # one tape node; the batch statistics come back as plain arrays
+            out, mu, var = standardize(x, self._stats_axes(x), self.eps, self.weight, self.bias)
             n = x.data.size / self.num_features
-            unbiased = var.data.reshape(self.num_features) * (n / max(1.0, n - 1))
+            unbiased = var.reshape(self.num_features) * (n / max(1.0, n - 1))
             m = self.momentum
             self._set_buffer(
                 "running_mean",
-                (1 - m) * self.running_mean + m * mu.data.reshape(self.num_features),
+                (1 - m) * self.running_mean + m * mu.reshape(self.num_features),
             )
             self._set_buffer("running_var", (1 - m) * self.running_var + m * unbiased)
             self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
-            inv_std = (var + self.eps) ** -0.5
-            out = centered * inv_std
-        else:
-            mu = self.running_mean.reshape(shape)
-            std = np.sqrt(self.running_var.reshape(shape) + self.eps)
-            out = (x - Tensor(mu)) * Tensor(1.0 / std)
+            return out
+        # eval: the running estimates fold into one per-feature scale and
+        # shift (feature-sized tape ops), applied in a single pass over x
+        scale = Tensor(1.0 / np.sqrt(self.running_var + self.eps))
+        shift = Tensor(-self.running_mean) * scale
         if self.weight is not None:
-            out = out * self.weight.reshape(shape) + self.bias.reshape(shape)
-        return out
+            scale = scale * self.weight
+            shift = shift * self.weight + self.bias
+        return x * scale.reshape(shape) + shift.reshape(shape)
 
 
 class BatchNorm2d(_BatchNorm):

@@ -2,7 +2,7 @@
 
 This subpackage replaces the PyTorch substrate the paper used (see
 DESIGN.md §2): a ``Tensor`` type with a define-by-run tape, vectorized
-elementwise/reduction ops, and im2col-based convolution kernels.
+elementwise/reduction ops, and im2col + GEMM convolution kernels.
 
 Importing this package wires the op modules' methods onto ``Tensor``.
 """
@@ -38,6 +38,7 @@ from repro.tensor.reductions import (
     min_,
     norm,
     softmax,
+    standardize,
     sum_,
     var,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "max_",
     "min_",
     "var",
+    "standardize",
     "logsumexp",
     "softmax",
     "log_softmax",

@@ -93,11 +93,10 @@ def sigmoid(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0)."""
     x = as_tensor(x)
-    mask = x.data > 0
-    out_data = np.where(mask, x.data, 0.0)
+    out_data = np.maximum(x.data, 0.0)
 
     def backward(grad):
-        return (grad * mask,)
+        return (grad * (out_data > 0),)
 
     return Tensor._make(out_data, (x,), backward)
 

@@ -17,6 +17,7 @@ __all__ = [
     "max_",
     "min_",
     "var",
+    "standardize",
     "logsumexp",
     "softmax",
     "log_softmax",
@@ -91,6 +92,54 @@ def var(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     mu = mean(x, axis=axis, keepdims=True)
     sq = (x - mu) * (x - mu)
     return mean(sq, axis=axis, keepdims=keepdims)
+
+
+def standardize(
+    x: Tensor, axes, eps: float, weight: Tensor | None = None, bias: Tensor | None = None
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``(x - mean) / sqrt(var + eps)`` over ``axes`` as a single tape node.
+
+    ``weight`` and ``bias`` (one value per statistic — BatchNorm's
+    per-channel affine) are folded into the same node.  Returns
+    ``(out, mean, var)``; ``mean`` and the biased ``var`` are the batch
+    statistics as ``keepdims`` arrays, for running-estimate updates.
+
+    The backward pass is the closed form
+    ``gx = scale · (g − mean(g) − x̂ · mean(g · x̂))`` with ``scale`` the
+    per-statistic ``weight / sqrt(var + eps)``; the two means are the bias
+    and weight gradients divided by the group size, so they are computed
+    once.
+    """
+    x = as_tensor(x)
+    mu = x.data.mean(axis=axes, keepdims=True)
+    xhat = x.data - mu
+    var_ = (xhat * xhat).mean(axis=axes, keepdims=True)
+    scale = (var_ + eps) ** -0.5
+    xhat *= scale
+    out = xhat
+    parents = (x,)
+    param_shape = None
+    if weight is not None:
+        param_shape = weight.data.shape
+        w = weight.data.reshape(mu.shape)
+        out = xhat * w
+        out += bias.data.reshape(mu.shape)
+        scale = scale * w
+        parents = (x, weight, bias)
+    count = x.data.size / mu.size
+
+    def backward(grad):
+        gsum = grad.sum(axis=axes, keepdims=True)
+        gdot = (grad * xhat).sum(axis=axes, keepdims=True)
+        gx = xhat * (gdot / -count)
+        gx += grad
+        gx -= gsum / count
+        gx *= scale
+        if param_shape is None:
+            return (gx,)
+        return gx, gdot.reshape(param_shape), gsum.reshape(param_shape)
+
+    return Tensor._make(out, parents, backward), mu, var_
 
 
 @profiled_op("logsumexp")

@@ -94,15 +94,32 @@ def pad2d(x: Tensor, padding: int | tuple) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
+def _is_basic_index(idx) -> bool:
+    """True for slices, ints, ``...`` and ``None`` — indices that never repeat an element."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer)) for p in parts
+    )
+
+
 def getitem(x: Tensor, idx) -> Tensor:
-    """Differentiable indexing/slicing (scatter-add on backward)."""
+    """Differentiable indexing/slicing.
+
+    Basic indices select each element at most once, so the backward pass
+    is a plain assignment into zeros; only advanced (array) indices, which
+    may repeat elements, need the scatter-add.
+    """
     x = as_tensor(x)
     out_data = x.data[idx]
     in_shape = x.data.shape
+    basic = _is_basic_index(idx)
 
     def backward(grad):
         g = np.zeros(in_shape, dtype=grad.dtype)
-        np.add.at(g, idx, grad)
+        if basic:
+            g[idx] = grad
+        else:
+            np.add.at(g, idx, grad)
         return (g,)
 
     return Tensor._make(out_data, (x,), backward)

@@ -12,8 +12,8 @@ the parent data.
 
 The engine is deliberately small and fully vectorized — per the
 scientific-Python optimization guidance, inner loops live in NumPy
-kernels (e.g. im2col convolution in :mod:`repro.tensor.conv_ops`), never
-in Python element loops.
+kernels (e.g. the strided-copy im2col + GEMM convolution in
+:mod:`repro.tensor.conv_ops`), never in Python element loops.
 """
 
 from __future__ import annotations

@@ -246,3 +246,36 @@ class TestConnection:
         cost = CostModel()
         tp = TcpTransport(1, cost_model=cost)
         assert tp.cost is cost
+
+
+class TestTeardown:
+    def test_close_is_prompt_and_leaves_no_thread(self):
+        """close() must wake the accept thread, not run out its join timeout."""
+        tp = TcpTransport(2, liveness_timeout_s=30.0)
+        tp.listen()
+        w = joined_worker(tp, [0, 1])
+        tp.wait_for_workers(5.0)
+
+        def answer_bye():
+            # the worker side of the BYE handshake: ack with a self-report
+            if w.recv().type is MsgType.BYE:
+                w.send(Message(MsgType.BYE, {"rejoins": 0}))
+
+        acker = threading.Thread(target=answer_bye, daemon=True)
+        acker.start()
+        t0 = time.perf_counter()
+        tp.close()
+        elapsed = time.perf_counter() - t0
+        acker.join(timeout=2.0)
+        w.close()
+        assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+        assert tp.worker_reports == [{"rejoins": 0}]  # the self-report still lands
+        assert [t.name for t in tp._threads if t.is_alive()] == []
+
+    def test_abort_is_prompt_too(self):
+        tp = TcpTransport(1)
+        tp.listen()
+        t0 = time.perf_counter()
+        tp.abort()
+        assert time.perf_counter() - t0 < 1.0
+        assert not any(t.is_alive() for t in tp._threads)

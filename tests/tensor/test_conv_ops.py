@@ -177,5 +177,5 @@ class TestIm2Col:
     def test_shapes(self):
         x = _rand((2, 3, 5, 5))
         cols, oh, ow = im2col(x, 3, 3, 2)
-        assert cols.shape == (2, 3 * 9, oh * ow)
+        assert cols.shape == (3 * 9, 2 * oh * ow)
         assert (oh, ow) == (2, 2)

@@ -98,6 +98,27 @@ class TestGradients:
     def test_getitem_slice_grad(self):
         assert gradcheck(lambda a: (a[1:3, ::2] ** 2).sum(), [_rand((4, 5))])
 
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            (slice(None), slice(0, 2)),  # shufflenet's channel split
+            (1, Ellipsis, slice(None, None, -2)),
+            (Ellipsis, None, 2),
+            (slice(None), np.array([2, 0, 2]), slice(1, 3)),  # advanced: column 2 taken twice
+            np.array([[True, False, True]] * 2),
+        ],
+    )
+    def test_getitem_grad_matches_scatter_add(self, idx):
+        # basic indices are written with one assignment, advanced ones
+        # scatter-added; both must equal the scatter-add of the gradient
+        x = Tensor(_rand((2, 3, 4)), requires_grad=True)
+        out = x[idx]
+        grad = _rand(out.shape, 1)
+        out.backward(grad)
+        want = np.zeros(x.shape)
+        np.add.at(want, idx, grad)
+        assert np.array_equal(x.grad, want)
+
     def test_getitem_fancy_grad_with_duplicates(self):
         # duplicated indices must accumulate via scatter-add
         idx = np.array([0, 0, 1])
