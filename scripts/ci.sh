@@ -3,7 +3,8 @@
 # chaos/crash-resume smokes + telemetry overhead budget.
 #
 #   scripts/ci.sh            # full run
-#   scripts/ci.sh --fast     # tier-1 tests only (skip smoke + bench)
+#   scripts/ci.sh --fast     # placement properties + tier-1 tests only
+#                            # (skip smoke + bench)
 #
 # The TCP smoke runs the same 2-round federation through both transports
 # and requires the saved global classifiers to be byte-identical — the
@@ -16,7 +17,9 @@
 # A tracing smoke runs the federation with telemetry on every rank and
 # requires `trace-merge` to produce cross-process parent edges, and
 # `bench-net` tracks the latency/throughput trajectory
-# (BENCH_latency.json) gated on rounds/sec.
+# (BENCH_latency.json) gated on rounds/sec.  Workers are placed by
+# estimated client cost (DESIGN.md 13); every `cmp` gate below holds under
+# any placement because client streams are keyed by (seed, client id).
 # The overhead benchmark re-asserts the <5% telemetry budget (null
 # backend, health monitor, and memprof+recorder enabled-but-idle) so an
 # instrumentation regression fails CI even when no functional test sees
@@ -29,6 +32,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+echo "== placement properties =="
+# seconds, no process spawned: a broken client->worker placement rule fails
+# here, before tier-1 and every TCP smoke below launch workers on its groups
+python -m pytest -x -q tests/net/test_placement.py
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests

@@ -736,7 +736,7 @@ def bench_net_main(argv: list[str]) -> int:
         f"{args.workers} workers in {wall_s:.1f}s — {rounds_per_s:.3f} rounds/s, "
         f"{format_bytes(bytes_per_s)}/s on the wire"
     )
-    for name in ("broadcast_s", "compute_s", "wait_s", "aggregate_s"):
+    for name in ("broadcast_s", "compute_s", "queue_s", "wait_s", "aggregate_s"):
         s = phases.get(name)
         if s:
             print(

@@ -39,7 +39,7 @@ from repro.federated.evaluation import (
 from repro.federated.checkpoint import load_checkpoint, save_checkpoint
 from repro.federated.history import RoundMetrics, RunHistory
 from repro.federated.sampler import ClientSampler
-from repro.federated.setup import FederationSpec, build_federation
+from repro.federated.setup import FederationSpec, build_federation, client_costs
 from repro.federated.trainer import LocalUpdateConfig, local_update
 
 __all__ = [
@@ -71,6 +71,7 @@ __all__ = [
     "local_update",
     "FederationSpec",
     "build_federation",
+    "client_costs",
     "SerialExecutor",
     "ThreadExecutor",
     "make_executor",

@@ -18,8 +18,10 @@ from repro.data import load_dataset
 from repro.federated.client import FederatedClient
 from repro.models import build_model, heterogeneous_assignment
 from repro.partition import matching_test_indices, partition_dataset
+from repro.telemetry.memprof import MemoryProfiler, active_memprof
+from repro.tensor import Tensor, no_grad
 
-__all__ = ["FederationSpec", "build_federation"]
+__all__ = ["FederationSpec", "build_federation", "client_costs"]
 
 
 @dataclass
@@ -50,6 +52,51 @@ class FederationSpec:
         return {}
 
 
+def _resolve(spec: FederationSpec) -> tuple:
+    """``(train, test, parts, archs)``: datasets, partition, per-client architecture."""
+    train, test = load_dataset(spec.dataset, n_train=spec.n_train, n_test=spec.n_test, seed=spec.seed)
+    parts = partition_dataset(
+        train, spec.partition, spec.num_clients, seed=spec.seed, **spec.partition_kwargs()
+    )
+    if spec.homogeneous_arch is not None:
+        archs = [spec.homogeneous_arch] * spec.num_clients
+    elif spec.architectures is not None:
+        archs = heterogeneous_assignment(spec.num_clients, tuple(spec.architectures))
+    else:
+        archs = heterogeneous_assignment(spec.num_clients)
+    return train, test, parts, archs
+
+
+def client_costs(spec: FederationSpec) -> list[int]:
+    """Relative cost of one local epoch per client — a pure function of ``spec``.
+
+    Activation bytes of one single-sample no-grad forward per *distinct*
+    architecture (counted by the ``Tensor`` allocation hook) times the
+    client's batches per epoch.  Activation volume tracks ``local_update``
+    wall here; parameter count ranks alexnet, the fastest client, heaviest.
+    """
+    train, _test, parts, archs = _resolve(spec)
+    volume: dict[str, int] = {}
+    outer, prof = active_memprof(), MemoryProfiler()
+    prof.activate()
+    try:
+        for arch in dict.fromkeys(archs):
+            model = build_model(
+                arch, in_channels=train.in_channels, num_classes=train.num_classes,
+                scale=spec.scale, rng=np.random.default_rng(0),
+                **(spec.model_overrides or {}).get(arch, {}),
+            )
+            model.eval()
+            with prof.client_round(-1, -1) as region, no_grad():
+                model(Tensor(train.images[:1]))
+            volume[arch] = region.alloc_bytes
+    finally:
+        prof.deactivate()
+        if outer is not None:
+            outer.activate()
+    return [volume[archs[k]] * -(-len(parts[k]) // spec.batch_size) for k in range(spec.num_clients)]
+
+
 def build_federation(
     spec: FederationSpec, client_ids: list[int] | None = None
 ) -> tuple[list[FederatedClient], dict]:
@@ -65,17 +112,7 @@ def build_federation(
     part of the full federation, which is what lets the TCP runtime
     shard clients across processes without breaking determinism.
     """
-    train, test = load_dataset(spec.dataset, n_train=spec.n_train, n_test=spec.n_test, seed=spec.seed)
-    parts = partition_dataset(
-        train, spec.partition, spec.num_clients, seed=spec.seed, **spec.partition_kwargs()
-    )
-
-    if spec.homogeneous_arch is not None:
-        archs = [spec.homogeneous_arch] * spec.num_clients
-    elif spec.architectures is not None:
-        archs = heterogeneous_assignment(spec.num_clients, tuple(spec.architectures))
-    else:
-        archs = heterogeneous_assignment(spec.num_clients)
+    train, test, parts, archs = _resolve(spec)
 
     if client_ids is None:
         build_ids = list(range(spec.num_clients))

@@ -8,9 +8,11 @@ hand), drives the rounds, and then reaps every child so no orphaned
 process or port outlives the run, even when a worker was deliberately
 killed mid-round.
 
-Client ids are assigned to workers round-robin (worker ``i`` owns every
-``k`` with ``k % N == i``), so heterogeneous architectures spread evenly
-across processes.
+Clients are placed by estimated cost, not by count (DESIGN.md
+"Placement"): a worker trains its clients one after another and the round
+waits for the busiest worker.  Round-robin (``k % N == i``) is what the
+rule gives under equal costs; under the paper's ``k mod 4`` architectures
+it stacks both googlenets on one of two workers.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import subprocess
 import sys
 
 from repro.comm.cost import CostModel
+from repro.federated.setup import FederationSpec, client_costs
 from repro.net.chaos import ChaosConfig
 from repro.net.server import FedTcpServer, QuorumPolicy, ServerResult, make_run_config
 from repro.net.supervisor import WorkerSupervisor
 
 __all__ = [
     "assign_clients",
+    "place_clients",
     "rank_telemetry_path",
     "worker_command",
     "launch_workers",
@@ -34,15 +38,35 @@ __all__ = [
 ]
 
 
-def assign_clients(num_clients: int, num_workers: int) -> list[list[int]]:
-    """Round-robin client→worker assignment; drops empty workers."""
+def assign_clients(
+    num_clients: int, num_workers: int, costs: list[float] | None = None
+) -> list[list[int]]:
+    """Longest-processing-time client→worker placement; drops empty workers.
+
+    Clients are taken by ``(-cost, id)`` and each goes to the least-loaded
+    worker (ties to the lowest worker index), so the result is a pure
+    function of the arguments and equal or absent costs give the
+    round-robin groups ``k % num_workers == i``.
+    """
     if num_workers < 1:
         raise ValueError("need at least one worker")
-    groups = [
-        [k for k in range(num_clients) if k % num_workers == i]
-        for i in range(num_workers)
-    ]
-    return [g for g in groups if g]
+    costs = [1] * num_clients if costs is None else list(costs)
+    if len(costs) != num_clients:
+        raise ValueError(f"{len(costs)} costs for {num_clients} clients")
+    groups: list[list[int]] = [[] for _ in range(num_workers)]
+    load = [0] * num_workers
+    for k in sorted(range(num_clients), key=lambda k: (-costs[k], k)):
+        i = min(range(num_workers), key=lambda i: (load[i], i))
+        groups[i].append(k)
+        load[i] += costs[k]
+    return [sorted(g) for g in groups if g]
+
+
+def place_clients(spec_dict: dict, num_workers: int) -> list[list[int]]:
+    """The groups ``run_tcp_federation`` hands its workers: pure in
+    ``(spec, workers)``, so a resumed run or a test computes the same ones."""
+    spec = FederationSpec(**spec_dict)
+    return assign_clients(spec.num_clients, num_workers, client_costs(spec))
 
 
 def rank_telemetry_path(base: str, rank: int) -> str:
@@ -249,7 +273,7 @@ def run_tcp_federation(
     common_flags = ["--rng-seed", str(seed)]
     if faulty:
         common_flags += ["--chaos", chaos_config.to_json()]
-    assignment = assign_clients(num_clients, workers) if workers > 0 else []
+    assignment = place_clients(spec_dict, workers) if workers > 0 else []
     procs = launch_workers(
         bound_host,
         bound_port,

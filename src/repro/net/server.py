@@ -706,9 +706,10 @@ class FedTcpServer:
         Returns ``(updates, compute_s, phases)`` where ``compute_s`` sums
         every survivor's self-reported training time (total work) and
         ``phases`` is the round's critical-path breakdown: ``broadcast_s``
-        (send-loop wall), ``compute_s`` (slowest survivor — the path the
-        round actually waited on), ``wait_s`` (collection wall beyond
-        that slowest training: wire latency + straggler slack).
+        (send-loop wall), ``compute_s`` (slowest single client),
+        ``queue_s`` (what the busiest worker — it trains the clients it
+        owns one after another — spent on its other clients), ``wait_s``
+        (collection wall beyond that worker: wire latency + slack).
         """
         assert self.global_state is not None
         tp = self.transport
@@ -740,10 +741,13 @@ class FedTcpServer:
         monitor = telemetry.get_telemetry().health
         compute_s = 0.0
         slowest = 0.0
+        busy: dict[int, float] = {}  # owning link -> summed durations
         for k, (meta, _state) in sorted(updates.items()):
             dur = float(meta.get("duration_s") or 0.0)
             compute_s += dur
             slowest = max(slowest, dur)
+            owner = id(tp.owner_of(k))
+            busy[owner] = busy.get(owner, 0.0) + dur
             if monitor is not None:
                 monitor.observe_client(
                     k,
@@ -751,6 +755,8 @@ class FedTcpServer:
                     duration_s=meta.get("duration_s"),
                     batches=meta.get("batches"),
                 )
+        busiest = max(busy.values(), default=0.0)
         phases["compute_s"] = slowest
-        phases["wait_s"] = max(0.0, collect_s - slowest)
+        phases["queue_s"] = busiest - slowest
+        phases["wait_s"] = max(0.0, collect_s - busiest)
         return updates, compute_s, phases

@@ -183,6 +183,7 @@ class WorkerLink:
         self.last_seen = time.monotonic()
         #: when the link died (monotonic) — drives the rejoin grace window
         self.died_at: float | None = None
+        self.reader_done = threading.Event()
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
@@ -254,6 +255,7 @@ class TcpTransport:
         self.rejoin_grace_s = rejoin_grace_s
         self._listener: socket.socket | None = None
         self._lock = threading.Lock()
+        self._death_lock = threading.Lock()
         self._registered = threading.Condition(self._lock)
         self._links: list[WorkerLink] = []
         self._owner: dict[int, WorkerLink] = {}  # client id → live link
@@ -638,36 +640,39 @@ class TcpTransport:
         with self._registered:
             for k in ids:
                 current = self._owner.get(k)
-                if current is not None and current is not link and current.alive:
-                    if not rejoin:
+                if current is not None and current is not link:
+                    if current.alive and not rejoin:
                         raise ProtocolError(f"client {k} already owned by a live worker")
                     superseded.append(current)
             link.client_ids = ids
             for k in ids:
                 self._owner[k] = link
             self._registered.notify_all()
-        # A REJOIN can race the old socket's EOF: if the replacement frame
-        # arrives before the old reader notices the death, the old link is
-        # still "alive" here.  Mark it dead *outside* the registry lock
-        # (same non-reentrant lock) so the lost event fires before the
-        # caller fires recovered — either thread order yields exactly one
-        # lost + one recovered per incident.
+        # A REJOIN can race the old socket's EOF.  The worker closed that
+        # socket before redialling, so let its reader drain what is queued
+        # (count the corrupt frame, record the loss); _mark_dead then forces
+        # a silent link and waits out a loss still in flight on the other
+        # thread, so lost always precedes the caller's recovered event.
         for old in {id(l): l for l in superseded}.values():
+            old.reader_done.wait(timeout=2.0)
             self._mark_dead(old, "superseded by a rejoined worker")
 
     def _mark_dead(self, link: WorkerLink, reason: str) -> None:
-        with self._lock:
-            if not link.alive:
-                return
-            link.alive = False
-            link.died_at = time.monotonic()
-        link.conn.close()
-        if not link.said_bye and not self._closing:
-            # BYE and shutdown are orderly departures, not losses — only
-            # genuine deaths count, or the counter drifts with every run
-            telemetry.counter("net.workers_lost").inc()
-            if self.on_worker_lost is not None:
-                self.on_worker_lost(link, reason)
+        # one step under its own lock: whoever finds the link dead also
+        # finds its loss recorded (on_worker_lost never calls back in here)
+        with self._death_lock:
+            with self._lock:
+                if not link.alive:
+                    return
+                link.alive = False
+                link.died_at = time.monotonic()
+            link.conn.close()
+            if not link.said_bye and not self._closing:
+                # BYE and shutdown are orderly departures, not losses — only
+                # genuine deaths count, or the counter drifts with every run
+                telemetry.counter("net.workers_lost").inc()
+                if self.on_worker_lost is not None:
+                    self.on_worker_lost(link, reason)
 
     def _reap_stale_links(self) -> None:
         """Declare workers dead when their heartbeat has gone silent."""
@@ -727,12 +732,15 @@ class TcpTransport:
                         # receive (t1) / reply (t2) wall stamps so the worker
                         # can estimate clock offset + RTT (see net/worker.py)
                         t1 = time.time()
-                        en = link.conn.send(
-                            Message(
-                                MsgType.HEARTBEAT,
-                                {"t0": msg.meta["t0"], "t1": t1, "t2": time.time()},
+                        try:
+                            en = link.conn.send(
+                                Message(
+                                    MsgType.HEARTBEAT,
+                                    {"t0": msg.meta["t0"], "t1": t1, "t2": time.time()},
+                                )
                             )
-                        )
+                        except OSError:
+                            continue  # peer gone: drain what it queued, recv reports EOF
                         if link.client_ids:
                             self.cost.record(
                                 self.server_rank, self.rank_of(min(link.client_ids)), en
@@ -757,3 +765,5 @@ class TcpTransport:
                 except OSError:
                     pass
             self._mark_dead(link, str(exc))
+        finally:
+            link.reader_done.set()

@@ -288,7 +288,7 @@ def _render_alerts(alerts: list[dict]) -> str:
     return "\n".join(lines)
 
 
-_PHASE_KEYS = ("broadcast_s", "compute_s", "wait_s", "aggregate_s")
+_PHASE_KEYS = ("broadcast_s", "compute_s", "queue_s", "wait_s", "aggregate_s")
 
 
 def _fmt_lat(v) -> str:
@@ -316,10 +316,12 @@ def _render_network(s: RunSummary) -> str | None:
         return None
     lines: list[str] = []
     if phases:
-        totals = {k: sum(float(p.get(k) or 0.0) for p in phases) for k in _PHASE_KEYS}
+        # a phase no round recorded (queue_s in older files) is not a measured zero
+        keys = [k for k in _PHASE_KEYS if any(k in p for p in phases)]
+        totals = {k: sum(float(p.get(k) or 0.0) for p in phases) for k in keys}
         wall = s.total("wall_s")
         lines.append(f"round critical path (totals over {len(phases)} rounds):")
-        for k in _PHASE_KEYS:
+        for k in keys:
             share = totals[k] / wall * 100.0 if wall > 0 else 0.0
             lines.append(
                 f"  {k[:-2]:<10} {totals[k]:>10.3f}s  {share:>5.1f}% of round wall"

@@ -89,9 +89,12 @@ def _fingerprint(result, counters):
         )
         for r in result.worker_reports
     )
+    # sorted: two workers fault independently, so how their incidents
+    # interleave within a round is scheduling, not schedule (a client's own
+    # events keep their order — its rounds only go up)
     return {
-        "lost": [(e["round"], e["client"]) for e in result.lost_clients],
-        "recovered": [(e["round"], e["client"]) for e in result.recovered_clients],
+        "lost": sorted((e["round"], e["client"]) for e in result.lost_clients),
+        "recovered": sorted((e["round"], e["client"]) for e in result.recovered_clients),
         "permanently_lost": result.permanently_lost,
         "counters": counters,
         "worker_reports": reports,

@@ -1,6 +1,6 @@
 """Quorum policies: participation math, and e2e skip/abort behavior.
 
-The e2e runs kill worker 1 (which owns client 1) at round 1 with no
+The e2e runs kill worker 1 (whatever clients it was placed) at round 1 with no
 supervision and no rejoin grace, so rounds 1+ can never reach a
 ``min_fraction=1.0`` quorum.  ``skip_round`` must freeze the global
 classifier at its round-0 value; ``abort`` must raise
@@ -16,7 +16,7 @@ import pytest
 
 from repro import telemetry
 from repro.federated import FederationSpec, default_firewall
-from repro.net.launcher import run_tcp_federation
+from repro.net.launcher import place_clients, run_tcp_federation
 from repro.net.server import FedTcpServer, QuorumError, QuorumPolicy
 
 NUM_CLIENTS = 3
@@ -175,7 +175,7 @@ def _run(policy, tmp_path, tag):
             round_timeout_s=30.0,
             liveness_timeout_s=3.0,
             heartbeat_s=0.3,
-            chaos={1: ["--die-at-round", "1"]},  # worker 1 owns client 1
+            chaos={1: ["--die-at-round", "1"]},
             quorum=policy,
             rejoin_grace_s=0.0,
         )
@@ -225,7 +225,8 @@ class TestQuorumSkipRound:
 
     def test_lost_client_recorded(self, skip_run):
         _, (result, _, _, _) = skip_run
-        assert result.permanently_lost == [1]
+        # whatever the launcher's own placement gave the killed worker 1
+        assert result.permanently_lost == place_clients(asdict(spec()), 2)[1]
 
 
 class TestQuorumAbort:

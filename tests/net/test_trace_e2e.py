@@ -101,13 +101,33 @@ class TestTracedFederation:
             assert min(float(c["rtt_s"]) for c in clocks) < 0.25
 
     def test_round_records_carry_phase_breakdown(self, traced_run):
-        _, _, server_records, _ = traced_run
+        _, _, server_records, worker_records = traced_run
         rounds = [r for r in server_records if r.get("type") == "round"]
         assert len(rounds) == ROUNDS
         for r in rounds:
             phase = r["phase"]
-            assert set(phase) == {"broadcast_s", "compute_s", "wait_s", "aggregate_s"}
+            assert set(phase) == {
+                "broadcast_s", "compute_s", "queue_s", "wait_s", "aggregate_s"
+            }
             assert phase["compute_s"] > 0
+            # a worker trains its clients one after another: the workers'
+            # own spans must agree that compute + queue is the busiest
+            # worker's total and compute the slowest single client
+            spans = [
+                [
+                    s["dur_s"]
+                    for s in stream
+                    if s.get("type") == "span"
+                    and s["name"] == "local_update"
+                    and s["attrs"]["round"] == r["round"]
+                ]
+                for stream in worker_records
+            ]
+            assert sorted(len(s) for s in spans) == [1, 2]  # 3 clients on 2 workers
+            assert phase["compute_s"] == pytest.approx(max(max(s) for s in spans), rel=0.2)
+            assert phase["compute_s"] + phase["queue_s"] == pytest.approx(
+                max(sum(s) for s in spans), rel=0.2
+            )
 
     def test_wire_latencies_exported(self, traced_run):
         _, _, server_records, _ = traced_run

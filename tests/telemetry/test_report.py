@@ -289,6 +289,17 @@ class TestNetworkSection:
         # 3 rounds x 0.7s compute against 3 x 1.0s wall = 70%
         assert "compute" in out and "70.0% of round wall" in out
 
+    def test_queue_phase_renders_only_when_recorded(self):
+        # files written before the server split queueing out of wait_s
+        assert "  queue " not in render_report(self.net_run())
+        records = self.net_run()
+        for r in records:
+            if "phase" in r:
+                r["phase"].update(queue_s=0.15, wait_s=0.05)
+        out = render_report(records)
+        # 3 rounds x 0.15s queued behind the busiest worker's other clients
+        assert "  queue " in out and "15.0% of round wall" in out
+
     def test_wire_latency_table_filters_to_net_metrics(self):
         out = render_report(self.net_run())
         assert "net.send_s.CLASSIFIER" in out
