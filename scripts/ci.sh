@@ -3,8 +3,8 @@
 # chaos/crash-resume smokes + telemetry overhead budget.
 #
 #   scripts/ci.sh            # full run
-#   scripts/ci.sh --fast     # placement properties + tier-1 tests only
-#                            # (skip smoke + bench)
+#   scripts/ci.sh --fast     # one-engine guard + placement properties +
+#                            # tier-1 tests only (skip smoke + bench)
 #
 # The TCP smoke runs the same 2-round federation through both transports
 # and requires the saved global classifiers to be byte-identical — the
@@ -32,6 +32,35 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+echo "== one engine =="
+# seconds: the round exists once.  Each of these is a step of the round
+# loop or of the server half of Algorithm 1; a second call site means a
+# second copy to keep bit-identical by hand.
+one_call_site() {
+    # federated/robust.py is left out: admit_and_aggregate (the benchmark's
+    # entry point) screens and aggregates in one call, without a quorum
+    local n
+    n="$(grep -rnF --include='*.py' -- "$1" src/repro \
+        | grep -v -e 'def ' -e 'federated/robust.py' | wc -l)"
+    [[ "$n" -eq 1 ]] || { echo "FAIL: '$1' has $n call sites in src/repro (want 1)"; exit 1; }
+}
+for call in 'sampler.sample(' 'cost.end_round(' 'monitor.end_round(' 'tel.record_round(' \
+    'monitor.begin_round(' 'RoundMetrics(' 'drop_nonfinite_states(' \
+    'screen_updates(' 'self.aggregator(' 'cohort.run_round('; do
+    one_call_site "$call"
+done
+OUTSIDE="$(grep -rln 'ClientSampler(' src/repro | grep -v -e federated/base.py -e federated/sampler.py || true)"
+[[ -z "$OUTSIDE" ]] || { echo "FAIL: ClientSampler( constructed outside federated/base.py: $OUTSIDE"; exit 1; }
+GONE="$(grep -rnE '_run_rounds|_one_round|_init_global_state|_apply_quorum|class Transport\b|def (bcast|gather)\(' \
+    src/repro/net || true)"
+[[ -z "$GONE" ]] || { echo "FAIL: a deleted copy of the round is back: $GONE"; exit 1; }
+grep -q '__getattr__' src/repro/net/__init__.py \
+    && { echo "FAIL: repro.net lazy loader is back"; exit 1; }
+UPWARD="$(grep -rn 'repro\.net' src/repro/{federated,core,comm,algorithms} || true)"
+[[ -z "$UPWARD" ]] || { echo "FAIL: net -> federated must stay one-way: $UPWARD"; exit 1; }
+echo "one round loop, one server half, one client half; net -> federated is one-way"
+echo "source lines: $(find src -name '*.py' | xargs cat | wc -l)"
 
 echo "== placement properties =="
 # seconds, no process spawned: a broken client->worker placement rule fails

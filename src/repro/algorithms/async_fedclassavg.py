@@ -21,6 +21,7 @@ import heapq
 
 import numpy as np
 
+from repro.core.fedclassavg import initial_average
 from repro.federated.base import FederatedAlgorithm
 from repro.federated.trainer import LocalUpdateConfig, local_update
 
@@ -79,11 +80,9 @@ class AsyncFedClassAvg(FederatedAlgorithm):
 
     # ------------------------------------------------------------------
     def setup(self) -> None:
-        from repro.federated.aggregation import weighted_average_state
-
         states = [c.model.classifier_state() for c in self.clients]
         weights = [c.data_size for c in self.clients]
-        self.global_state = weighted_average_state(states, weights)
+        self.global_state = initial_average(states, weights)
         # dispatch every client once
         for c in self.clients:
             self._dispatch(c.client_id)

@@ -183,7 +183,11 @@ def _add_wire_arg(p: argparse.ArgumentParser) -> None:
 
 
 def _add_fault_tolerance_args(p: argparse.ArgumentParser, with_supervise: bool = False) -> None:
-    """Fault-tolerance flags shared by `repro run --transport tcp` and `serve`."""
+    """Fault-tolerance flags shared by `repro run` and `serve`.
+
+    ``--quorum`` / ``--on-quorum-miss`` mean the same thing on both
+    transports; the rest need worker processes (``--transport tcp``).
+    """
     if with_supervise:
         p.add_argument(
             "--supervise",
@@ -231,8 +235,10 @@ def _add_fault_tolerance_args(p: argparse.ArgumentParser, with_supervise: bool =
         type=float,
         default=None,
         metavar="FRAC",
-        help="minimum survivor fraction a round needs before aggregating "
-        "(e.g. 0.5); unset keeps the aggregate-whatever-arrived rule",
+        help="minimum fraction of the sampled clients whose updates must be "
+        "admitted before a round aggregates (e.g. 0.5; dropouts, deadline "
+        "misses and firewall rejections all count against it); unset keeps "
+        "the aggregate-whatever-arrived rule",
     )
     p.add_argument(
         "--on-quorum-miss",
@@ -300,7 +306,7 @@ def _adversaries_from_args(args):
 def _quorum_from_args(args):
     if getattr(args, "quorum", None) is None:
         return None
-    from repro.net.server import QuorumPolicy
+    from repro.federated.quorum import QuorumPolicy
 
     return QuorumPolicy(min_fraction=args.quorum, on_miss=args.on_quorum_miss)
 
@@ -1163,6 +1169,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.transport == "tcp":
         return tcp_run_main(args)
+    tcp_only = [f for f in ("checkpoint", "resume", "supervise", "chaos") if getattr(args, f)]
+    if tcp_only:
+        print(f"error: --{'/--'.join(tcp_only)} require --transport tcp", file=sys.stderr)
+        return 2
 
     preset = tiny_preset(
         args.dataset,
@@ -1180,11 +1190,17 @@ def main(argv: list[str] | None = None) -> int:
             "aggregator": args.aggregator,
             "firewall": _firewall_from_args(args),
             "adversaries": _adversaries_from_args(args),
+            "quorum": _quorum_from_args(args),
         }
     else:
-        if args.aggregator != "mean" or args.adversaries or args.no_firewall:
+        if (
+            args.aggregator != "mean"
+            or args.adversaries
+            or args.no_firewall
+            or args.quorum is not None
+        ):
             print(
-                "error: --aggregator/--adversaries/--no-firewall currently "
+                "error: --aggregator/--adversaries/--no-firewall/--quorum currently "
                 "support --algorithm fedclassavg",
                 file=sys.stderr,
             )

@@ -9,7 +9,6 @@ from repro.comm.privacy import (
     clip_state,
     state_l2_norm,
 )
-from repro.comm.topology import NetworkModel, hierarchical, ring, star
 
 __all__ = [
     "SimComm",
@@ -24,8 +23,4 @@ __all__ = [
     "SecureAggregationSimulator",
     "clip_state",
     "state_l2_norm",
-    "NetworkModel",
-    "star",
-    "ring",
-    "hierarchical",
 ]

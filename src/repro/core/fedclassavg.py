@@ -2,13 +2,16 @@
 
 Per communication round:
 
-1. The server broadcasts the global classifier ``w_C`` to the sampled
-   clients (rank 0 → client ranks on the simulated communicator).
+1. The server hands the global classifier ``w_C`` to the sampled clients.
 2. Each client replaces its local classifier with ``w_C`` and runs E
    local epochs of the composite objective (Eq. 4):
    ``L^CL(F(x'), F(x'')) + L^CE(y, ŷ) + ρ·L^R(C_k, C)``.
 3. Clients return their classifiers; the server updates
    ``w_C ← Σ_k (|D_k|/|D|)·w_{C_k}`` (Eq. 3).
+
+This module is the server half (steps 1 and 3, plus the t=0 average),
+written once against a :class:`~repro.federated.cohort.Cohort`; step 2 is
+:func:`repro.federated.trainer.client_round`, wherever the cohort runs it.
 
 The ``use_contrastive`` / ``use_proximal`` switches reproduce the Table 4
 ablation (CA / +PR / +CL / +PR,CL), and ``share_all_weights`` reproduces
@@ -19,21 +22,43 @@ classifier.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro import telemetry
-from repro.analysis.drift import measure_drift
-from repro.comm import payload_nbytes
 from repro.federated.aggregation import drop_nonfinite_states, weighted_average_state
 from repro.federated.base import FederatedAlgorithm
-from repro.federated.robust import admit_and_aggregate, make_aggregator
-from repro.federated.trainer import LocalUpdateConfig, local_update
+from repro.federated.cohort import Cohort, InProcessCohort
+from repro.federated.quorum import QuorumError, QuorumPolicy
+from repro.federated.robust import make_aggregator, screen_updates
+from repro.federated.trainer import LocalUpdateConfig
 
-__all__ = ["FedClassAvg"]
+__all__ = ["FedClassAvg", "initial_average"]
+
+
+def initial_average(
+    states: list[dict[str, np.ndarray]], weights: list[float]
+) -> dict[str, np.ndarray]:
+    """The t=0 global classifier: data-weighted average of the initial ones.
+
+    A NaN-initialized client contributes nothing to the symmetric
+    starting point — it is excluded rather than refusing to start.
+    """
+    return weighted_average_state(*drop_nonfinite_states(states, weights))
 
 
 class FedClassAvg(FederatedAlgorithm):
-    """Federated classifier averaging — Algorithm 1 of the paper (see module docstring)."""
+    """Federated classifier averaging — Algorithm 1 of the paper (see module docstring).
+
+    ``cohort`` is where the clients run.  By default it is an
+    :class:`InProcessCohort` over ``clients`` built from the training
+    arguments (``rho`` … ``contrastive``, ``share_all_weights``,
+    ``local_epochs``, ``comm``, ``executor``, ``fault_injector``,
+    ``compressor``, ``privacy``, ``adversaries``); a server whose clients
+    live in worker processes passes its transport and an empty ``clients``,
+    and those arguments reach the workers in their run config instead.
+    """
 
     name = "fedclassavg"
 
@@ -57,26 +82,24 @@ class FedClassAvg(FederatedAlgorithm):
         aggregator=None,
         firewall=None,
         adversaries=None,
+        quorum: QuorumPolicy | None = None,
+        cohort: Cohort | None = None,
     ):
-        super().__init__(clients, sample_rate, local_epochs, comm, seed)
-        self.rho = rho
-        self.share_all_weights = share_all_weights
+        super().__init__(
+            clients,
+            sample_rate,
+            local_epochs,
+            comm if cohort is None else cohort,
+            seed,
+            num_clients=None if cohort is None else cohort.num_clients,
+        )
         self.fault_injector = fault_injector
-        #: optional payload compressor (repro.comm.compression protocol)
-        self.compressor = compressor
-        #: optional DP mechanism applied to uploads (repro.comm.privacy)
-        self.privacy = privacy
-        #: robust aggregation entry point (shared with the TCP server)
+        #: robust aggregation rule (spec string or Aggregator instance)
         self.aggregator = make_aggregator(aggregator)
         #: optional UpdateFirewall screening uploads before aggregation
         self.firewall = firewall
-        #: optional AdversarySchedule poisoning uploads (sim-path attacks);
-        #: also reachable through the fault injector for API symmetry
-        self.adversaries = (
-            adversaries
-            if adversaries is not None
-            else getattr(fault_injector, "adversaries", None)
-        )
+        #: optional minimum-participation gate on each round's aggregation
+        self.quorum = quorum
         self.rejections: list[dict] = []
         self.config = LocalUpdateConfig(
             use_contrastive=use_contrastive,
@@ -86,136 +109,153 @@ class FedClassAvg(FederatedAlgorithm):
             contrastive=contrastive,
             proximal_on="classifier",
         )
-        self.executor = executor
         self.global_state: dict[str, np.ndarray] | None = None
-        if share_all_weights:
+        if share_all_weights and cohort is None:
             archs = {c.model.arch for c in clients}
             shapes = {tuple(sorted((k, v.shape) for k, v in c.model.state_dict().items())) for c in clients}
             if len(archs) > 1 or len(shapes) > 1:
                 raise ValueError("share_all_weights requires homogeneous client models")
+        self.cohort: Cohort = cohort or InProcessCohort(
+            clients,
+            self.comm,
+            self.config,
+            local_epochs=local_epochs,
+            whole_model=share_all_weights,
+            executor=executor,
+            fault_injector=fault_injector,
+            compressor=compressor,
+            privacy=privacy,
+            adversaries=adversaries,
+        )
 
     # ------------------------------------------------------------------
-    def _client_payload(self, client) -> dict[str, np.ndarray]:
-        """What a client transmits: classifier only, or the full model."""
-        if self.share_all_weights:
-            return client.model.state_dict()
-        return client.model.classifier_state()
-
-    def _load_payload(self, client, state: dict[str, np.ndarray]) -> None:
-        if self.share_all_weights:
-            client.model.load_state_dict(state)
-        else:
-            client.model.load_classifier_state(state)
-
     def setup(self) -> None:
-        """Initialize the global state (t=0).
+        """Initialize the global state (t=0) from the cohort's initial states."""
+        initial = self.cohort.initial_states()
+        ids = sorted(initial)
+        self.global_state = initial_average(
+            [initial[k][1] for k in ids], [int(initial[k][0]["data_size"]) for k in ids]
+        )
 
-        Classifier-only mode averages the clients' initial classifiers (a
-        single linear layer averages harmlessly).  Full-weight mode starts
-        from one common initialization instead — averaging independently
-        initialized deep networks would destroy the function (neuron
-        permutation mismatch), exactly as in FedAvg.
-        """
-        if self.share_all_weights:
-            self.global_state = self.clients[0].model.state_dict()
-            for c in self.clients:
-                c.model.load_state_dict(self.global_state)
-        else:
-            states = [self._client_payload(c) for c in self.clients]
-            weights = [c.data_size for c in self.clients]
-            # a NaN-initialized client contributes nothing to the symmetric
-            # starting point — exclude it rather than refuse to start
-            states, weights = drop_nonfinite_states(states, weights)
-            self.global_state = weighted_average_state(states, weights)
+    def alive(self) -> bool:
+        return any(self.cohort.client_is_live(k) for k in range(self.num_clients))
+
+    def evaluate_all(self) -> list[float]:
+        """Every client's accuracy; one that cannot report keeps its last."""
+        accs = list(self.last_accs) or [0.0] * self.num_clients
+        for k, acc in self.cohort.evaluate(self.current_round).items():
+            accs[k] = acc
+        return accs
 
     # ------------------------------------------------------------------
     def round(self, t: int, sampled: list[int]) -> float:
         assert self.global_state is not None
-        server = self.server_rank()
-
-        # 1. broadcast global classifier to the round's participants
-        self.comm.bcast(self.global_state, root=server, ranks=[self.rank_of(k) for k in sampled])
-        for k in sampled:
-            self._load_payload(self.clients[k], self.global_state)
-
-        # 2. local updates (Eq. 4); the proximal reference is the broadcast
-        # classifier — constant during the round.
-        reference = {k_: v.copy() for k_, v in self.global_state.items()}
-
-        # flight recorder: register the broadcast once so per-client
-        # captures reference it instead of copying it N times
-        recorder = telemetry.get_telemetry().recorder
-        if recorder is not None:
-            recorder.note_broadcast(t, self.global_state)
-
-        def update(k: int) -> float:
-            return local_update(self.clients[k], self.local_epochs, self.config, reference)
-
-        if self.executor is not None:
-            losses = self.executor.map(update, sampled)
-        else:
-            losses = [update(k) for k in sampled]
-
-        # 3. clients upload classifiers; server aggregates (Eq. 3).  Under
-        # fault injection only the surviving uploads are aggregated, as a
-        # real deadline-based server would.
-        uploading = (
-            self.fault_injector.survivors(sampled) if self.fault_injector is not None else sampled
-        )
-        self.last_survivors = list(uploading)
-
-        def outgoing(k: int) -> dict[str, np.ndarray]:
-            state = self._client_payload(self.clients[k])
-            # adversary corruption happens where the TCP worker applies it:
-            # on the raw classifier, before DP noise / compression framing
-            if self.adversaries is not None:
-                state = self.adversaries.corrupt(k, t, state)
-            if self.privacy is not None:
-                state = self.privacy.privatize(state)
-            if self.compressor is not None:
-                state = self.compressor.compress(state)
-            return state
-
-        payloads = {self.rank_of(k): outgoing(k) for k in uploading}
-
-        # health monitoring: per-client classifier drift ‖C_k − C‖₂ vs the
-        # broadcast reference, update norm over the full payload, and the
-        # wire size each client actually uploads (post-DP/compression)
+        reference = self.global_state
+        arrivals, phase = self.cohort.run_round(t, sampled, reference, self.evaluating)
+        # an upload that did not come, from a client that is still there: the
+        # FaultInjector's dropout, or a deadline miss without a death
+        timed_out = [
+            k for k in sampled if k not in arrivals and self.cohort.client_is_live(k)
+        ]
+        admitted, rejected, skipped = self._admit(t, sampled, arrivals)
+        self.rejections.extend(rejected)
+        survivors = sorted(admitted)
         monitor = telemetry.get_telemetry().health
         if monitor is not None:
-            for k in uploading:
-                client = self.clients[k]
-                monitor.observe_client(
-                    k,
-                    drift=measure_drift(client.model.classifier_state(), reference),
-                    update_norm=measure_drift(self._client_payload(client), reference),
-                    bytes_up=payload_nbytes(payloads[self.rank_of(k)]),
+            for k in timed_out:
+                monitor.emit_alert(
+                    "client_timeout",
+                    f"client {k} missed the round-{t} upload deadline",
+                    client=k,
+                    severity="warning",
+                    round_idx=t,
                 )
 
-        received = self.comm.gather(payloads, root=server)
-        if self.compressor is not None:
-            received = [self.compressor.decompress(s) for s in received]
-        # Shared robust-aggregation entry point (same as FedTcpServer):
-        # screen arrivals through the firewall, then feed the admitted
-        # subset to the selected aggregator.  A rejected update is dropped
-        # exactly like a fault-injection dropout; if nothing is admitted
-        # the global classifier simply carries over.
-        outcome = admit_and_aggregate(
-            t,
-            dict(zip(uploading, received)),
-            {k: self.clients[k].data_size for k in uploading},
-            aggregator=self.aggregator,
-            firewall=self.firewall,
-            reference=reference,
-        )
-        if outcome.global_state is not None:
-            self.global_state = outcome.global_state
-        self.rejections.extend(outcome.rejected)
-        admitted = list(outcome.admitted)
-        self.last_survivors = admitted
+        agg0 = time.perf_counter()
+        if survivors and not skipped:
+            # Eq. 3 over the admitted subset, in client-id order
+            self.global_state = self.aggregator(
+                [admitted[k][1] for k in survivors],
+                [int(admitted[k][0]["data_size"]) for k in survivors],
+                reference=reference,
+            )
+        phase["aggregate_s"] = time.perf_counter() - agg0
+
         # The reported train loss mirrors what the server can observe:
         # the mean over *admitted* clients — a faulted or quarantined
         # client's loss never enters the server-side metric.
-        loss_by_client = dict(zip(sampled, losses))
-        survivor_losses = [loss_by_client[k] for k in admitted]
-        return float(np.mean(survivor_losses)) if survivor_losses else 0.0
+        losses = {k: admitted[k][0].get("loss") for k in survivors}
+        reported = [v for v in losses.values() if v is not None]
+        self.last_survivors = survivors
+        self.round_notes = {
+            "skipped": skipped,
+            "phase": phase,
+            "compute_s": sum(float(m.get("duration_s") or 0.0) for m, _ in arrivals.values()),
+            "timed_out": timed_out,
+            "rejected": rejected,
+            "losses": losses,
+        }
+        return float(np.mean(reported)) if reported else 0.0
+
+    def _admit(self, t: int, sampled: list[int], arrivals: dict):
+        """Firewall, then quorum: ``(admitted, rejections, skipped)``.
+
+        Only firewall-admitted updates count toward quorum — a round
+        where five uploads arrive but three are quarantined has two
+        participants, not five, and must trigger ``on_miss`` rather than
+        silently aggregating a sliver of the cohort.  ``arrivals`` grows
+        in place with whatever an ``extend_deadline`` window brings: only
+        clients that never sent anything are re-requested (waiting longer
+        cannot un-reject an update), and late arrivals pass the same
+        firewall.  Raises :class:`QuorumError` under ``abort``; a missed
+        quorum always fires a ``quorum_miss`` health alert and bumps
+        ``net.quorum_misses``.
+        """
+        policy = self.quorum
+        need = policy.required(len(sampled)) if policy is not None else 0
+        monitor = telemetry.get_telemetry().health
+        admitted: dict = {}
+        rejected: list[dict] = []
+
+        def miss(what: str, severity: str = "warning") -> None:
+            if monitor is not None:
+                monitor.emit_alert(
+                    "quorum_miss",
+                    f"round {t} has {len(admitted)}/{need} admitted updates — {what}",
+                    severity=severity,
+                    round_idx=t,
+                )
+
+        batch, extensions = arrivals, 0
+        while True:
+            # a rejected update is excluded exactly like a dropout, but
+            # the client is tracked as arrived (not timed out)
+            ok, bad = screen_updates(
+                t, {k: s for k, (_m, s) in batch.items()}, self.firewall, self.global_state
+            )
+            admitted.update({k: batch[k] for k in ok})
+            rejected.extend(bad)
+            missing = [k for k in sampled if k not in arrivals]
+            if (
+                len(admitted) >= need
+                or policy.on_miss != "extend_deadline"
+                or extensions >= policy.max_extensions
+                or not missing
+            ):
+                break
+            extensions += 1
+            telemetry.counter("net.deadline_extensions").inc()
+            miss(f"extending deadline for {missing} ({extensions}/{policy.max_extensions})")
+            batch = self.cohort.collect_more(t, missing, policy.extension_s)
+            arrivals.update(batch)
+        if len(admitted) >= need:
+            return admitted, rejected, False
+        telemetry.counter("net.quorum_misses").inc()
+        if policy.on_miss == "abort":
+            miss("aborting the run", severity="critical")
+            raise QuorumError(
+                f"round {t}: {len(admitted)} admitted update(s), quorum requires {need}"
+            )
+        telemetry.counter("net.rounds_skipped").inc()
+        miss("skipping aggregation (global classifier unchanged)")
+        return admitted, rejected, True

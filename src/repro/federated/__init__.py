@@ -9,6 +9,7 @@ from repro.federated.aggregation import (
 )
 from repro.federated.base import FederatedAlgorithm
 from repro.federated.client import FederatedClient
+from repro.federated.cohort import Cohort, InProcessCohort
 from repro.federated.executor import SerialExecutor, ThreadExecutor, make_executor
 from repro.federated.faults import FaultInjector
 from repro.federated.firewall import (
@@ -21,6 +22,7 @@ from repro.federated.firewall import (
     default_firewall,
     update_norm,
 )
+from repro.federated.quorum import QuorumError, QuorumPolicy
 from repro.federated.robust import (
     AGGREGATOR_NAMES,
     AggregationOutcome,
@@ -40,7 +42,7 @@ from repro.federated.checkpoint import load_checkpoint, save_checkpoint
 from repro.federated.history import RoundMetrics, RunHistory
 from repro.federated.sampler import ClientSampler
 from repro.federated.setup import FederationSpec, build_federation, client_costs
-from repro.federated.trainer import LocalUpdateConfig, local_update
+from repro.federated.trainer import LocalUpdateConfig, client_round, local_update
 
 __all__ = [
     "FederatedAlgorithm",
@@ -69,6 +71,11 @@ __all__ = [
     "update_norm",
     "LocalUpdateConfig",
     "local_update",
+    "client_round",
+    "Cohort",
+    "InProcessCohort",
+    "QuorumPolicy",
+    "QuorumError",
     "FederationSpec",
     "build_federation",
     "client_costs",

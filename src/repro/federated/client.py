@@ -55,6 +55,17 @@ class FederatedClient:
         """|D_k| — the aggregation weight numerator in Eqs. (1)–(3)."""
         return len(self.train_labels)
 
+    def shared_state(self, whole_model: bool = False) -> dict[str, np.ndarray]:
+        """What this client exchanges with the server: ``C_k``, or the whole model."""
+        return self.model.state_dict() if whole_model else self.model.classifier_state()
+
+    def load_shared_state(self, state: dict[str, np.ndarray], whole_model: bool = False) -> None:
+        """Adopt a broadcast: replace ``C_k`` (or the whole model) with ``state``."""
+        if whole_model:
+            self.model.load_state_dict(state)
+        else:
+            self.model.load_classifier_state(state)
+
     def train_loader(self) -> DataLoader:
         return DataLoader(
             ArrayView(self.train_images, self.train_labels),

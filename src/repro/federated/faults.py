@@ -5,14 +5,6 @@ churn).  ``FaultInjector`` decides — deterministically from a seed — which
 sampled clients fail each round; algorithms call :meth:`survivors` after
 local training and aggregate only the returned subset, exactly as a real
 server aggregates whatever uploads arrive before the deadline.
-
-Beyond crash faults, the injector can carry an
-:class:`~repro.net.chaos.AdversarySchedule`: clients that *survive* but
-upload poisoned classifiers (NaN bombs, sign flips, scaled or noisy or
-stale updates).  The sim path corrupts through :meth:`corrupt` at the
-same point in the round the TCP worker does — just before the upload
-leaves the client — so equal-seed adversarial runs are bit-identical
-across transports.
 """
 
 from __future__ import annotations
@@ -30,12 +22,10 @@ class FaultInjector:
     amounts to the same thing).
     """
 
-    def __init__(self, failure_prob: float = 0.0, seed: int = 0, adversaries=None):
+    def __init__(self, failure_prob: float = 0.0, seed: int = 0):
         if not 0.0 <= failure_prob < 1.0:
             raise ValueError("failure probability must be in [0, 1)")
         self.failure_prob = failure_prob
-        #: optional :class:`~repro.net.chaos.AdversarySchedule`
-        self.adversaries = adversaries
         self.rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xFA11,)))
         self.dropped_log: list[list[int]] = []
         #: call indices (``len(dropped_log)`` at the time) where every
@@ -57,12 +47,6 @@ class FaultInjector:
         alive_set = set(alive)
         self.dropped_log.append([k for k in sampled if k not in alive_set])
         return alive
-
-    def corrupt(self, client: int, round_idx: int, state):
-        """Apply the client's adversary persona (if any) to its upload."""
-        if self.adversaries is None:
-            return state
-        return self.adversaries.corrupt(client, round_idx, state)
 
     @property
     def total_dropped(self) -> int:

@@ -19,14 +19,12 @@ weighted mean of Eq. (3), all operating on the same aligned state dicts
   nearest neighbors and keep the lowest-scoring one (Krum) or
   weighted-average the ``m`` lowest (Multi-Krum).
 
-Both transports (:meth:`repro.federated.base.FederatedAlgorithm.run`'s
-sim path and :class:`repro.net.server.FedTcpServer`) aggregate through
-:func:`admit_and_aggregate` — one shared entry point that screens every
-collected update through the admission firewall (in client-id order, so
-firewall state evolves identically on either transport), then applies
-the selected aggregator to the admitted survivors.  This is a first
-concrete step toward the unified round scheduler: the transports differ
-in how updates arrive, no longer in how they are judged and combined.
+:func:`admit_and_aggregate` is the whole judgement in one call: it
+screens every collected update through the admission firewall (in
+client-id order, so firewall state evolves identically on either
+transport), then applies the selected aggregator to the admitted
+survivors.  The FedClassAvg round has a quorum gate between the two
+steps, so it calls :func:`screen_updates` and the aggregator itself.
 
 Determinism bar: every aggregator is a pure function of (states,
 weights, reference) with all reductions in float64 — equal-seed TCP and
@@ -424,8 +422,7 @@ def admit_and_aggregate(
 ) -> AggregationOutcome:
     """Screen ``updates`` through the firewall, then aggregate the rest.
 
-    The single aggregation entry point shared by the SimComm round loop
-    and the TCP server: ``updates``/``weights`` are keyed by client id,
+    ``updates``/``weights`` are keyed by client id,
     ``reference`` is the round's broadcast classifier (the firewall's
     comparison baseline and the norm-clipping center).
     """

@@ -12,6 +12,7 @@ exactly what the Table 4 ablation needs:
 from __future__ import annotations
 
 import contextlib
+import time
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from repro.federated.client import FederatedClient
 from repro.losses import cross_entropy, ntxent_loss, proximal_l2, supcon_loss
 from repro.tensor import Tensor
 
-__all__ = ["local_update", "LocalUpdateConfig"]
+__all__ = ["local_update", "client_round", "LocalUpdateConfig"]
 
 
 class LocalUpdateConfig:
@@ -168,3 +169,33 @@ def local_update(
             fields["mem_peak"] = mem_region.peak_live_bytes
         monitor.observe_client(client.client_id, **fields)
     return mean_loss
+
+
+def client_round(
+    client: FederatedClient,
+    round_idx: int,
+    state: dict[str, np.ndarray],
+    epochs: int,
+    config: LocalUpdateConfig,
+    whole_model: bool = False,
+    adversaries=None,
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The client half of Algorithm 1; returns ``(meta, upload)``.
+
+    Adopt the broadcast ``state``, run ``epochs`` of :func:`local_update`
+    with it as the proximal reference, and hand back what the client
+    uploads — after ``adversaries`` (an ``AdversarySchedule``) corrupted
+    it, exactly once per (client, round), if this client is one.  ``meta``
+    carries what the server may know about the update: ``data_size``,
+    ``loss``, ``duration_s``.  An in-process cohort and a TCP worker both
+    run this function, which is why they end at the same bytes.
+    """
+    client.load_shared_state(state, whole_model)
+    reference = {name: v.copy() for name, v in state.items()}
+    t0 = time.perf_counter()
+    loss = local_update(client, epochs, config, reference)
+    duration = time.perf_counter() - t0
+    upload = client.shared_state(whole_model)
+    if adversaries is not None:
+        upload = adversaries.corrupt(client.client_id, round_idx, upload)
+    return {"data_size": client.data_size, "loss": loss, "duration_s": duration}, upload

@@ -3,19 +3,21 @@
 The paper ran FedClassAvg as 20 MPI ranks across 15 GPU nodes; this
 package runs the same protocol over actual sockets and OS processes
 while keeping the in-process :class:`repro.comm.SimComm` as the default
-backend behind a shared :class:`Transport` interface:
+byte-mover.  ``repro.net`` depends on ``repro.federated``, never the
+other way round:
 
 * :mod:`repro.net.protocol` — length-prefixed CRC-checked binary
   framing over the existing state-dict wire format, with zero-copy
   scatter/gather sends and flag-negotiated state encodings;
 * :mod:`repro.net.encoding` — the wire codec: lossless XOR-delta +
   zlib state frames (default), opt-in lossy quantization/top-k modes;
-* :mod:`repro.net.transport` — the :class:`Transport` interface both
-  backends satisfy, plus the server-side :class:`TcpTransport`
-  (accept loop, reader threads, liveness, ordered collection);
-* :mod:`repro.net.server` — the FedClassAvg round server
-  (deterministic client-id-ordered aggregation, survivor semantics,
-  ``client_lost`` health alerts);
+* :mod:`repro.net.transport` — the server-side :class:`TcpTransport`
+  (accept loop, reader threads, liveness, ordered collection), the
+  socket-backed :class:`repro.federated.cohort.Cohort`;
+* :mod:`repro.net.server` — :class:`FedTcpServer`, which runs the one
+  round loop and the one server half (:class:`repro.core.FedClassAvg`)
+  over that transport, plus worker loss/rejoin bookkeeping and the
+  server checkpoint;
 * :mod:`repro.net.worker` — a client process owning its models/data and
   running the production ``local_update``;
 * :mod:`repro.net.launcher` — N workers over localhost for
@@ -29,10 +31,6 @@ backend behind a shared :class:`Transport` interface:
 
 Determinism is the bar: with equal seeds, a TCP run's final global
 classifier is bit-identical to the SimComm run's.
-
-The heavyweight modules (server/worker/launcher pull in the full
-federated stack) load lazily so ``repro.federated`` can import the
-:class:`Transport` interface without a cycle.
 """
 
 from __future__ import annotations
@@ -60,10 +58,12 @@ from repro.net.encoding import (
 )
 from repro.net.retry import Deadline, Heartbeat, RetryPolicy, backoff_delays, call_with_retries
 from repro.net.supervisor import WorkerSupervisor
-from repro.net.transport import Connection, TcpTransport, Transport, WorkerLink
+from repro.net.transport import Connection, SimulatedCrash, TcpTransport, WorkerLink
+from repro.net.server import FedTcpServer, QuorumError, QuorumPolicy, ServerResult, make_run_config
+from repro.net.worker import WorkerOptions, run_worker
+from repro.net.launcher import assign_clients, run_tcp_federation, worker_command
 
 __all__ = [
-    "Transport",
     "Connection",
     "TcpTransport",
     "WorkerLink",
@@ -92,7 +92,6 @@ __all__ = [
     "ChaosEngine",
     "ChaosConnection",
     "WorkerSupervisor",
-    # lazy (pull in the full federated stack):
     "FedTcpServer",
     "ServerResult",
     "make_run_config",
@@ -105,26 +104,3 @@ __all__ = [
     "assign_clients",
     "worker_command",
 ]
-
-_LAZY = {
-    "FedTcpServer": "repro.net.server",
-    "ServerResult": "repro.net.server",
-    "make_run_config": "repro.net.server",
-    "QuorumPolicy": "repro.net.server",
-    "QuorumError": "repro.net.server",
-    "SimulatedCrash": "repro.net.server",
-    "run_worker": "repro.net.worker",
-    "WorkerOptions": "repro.net.worker",
-    "run_tcp_federation": "repro.net.launcher",
-    "assign_clients": "repro.net.launcher",
-    "worker_command": "repro.net.launcher",
-}
-
-
-def __getattr__(name: str):
-    target = _LAZY.get(name)
-    if target is None:
-        raise AttributeError(f"module 'repro.net' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(target), name)

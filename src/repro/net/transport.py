@@ -1,14 +1,7 @@
-"""Transport interface + TCP server-side transport.
+"""Framed connections + the server-side TCP transport.
 
-Three layers live here:
+Two layers live here:
 
-* :class:`Transport` — the structural interface the federated round
-  loops are written against.  Rank 0 is the server and client ``k`` is
-  rank ``k + 1``, exactly the MPI convention :class:`repro.comm.SimComm`
-  established; ``SimComm`` satisfies this protocol unchanged, and
-  :class:`TcpTransport` satisfies it over real sockets, which is what
-  makes the SimComm ↔ TCP equivalence guarantee a typed statement
-  rather than a comment.
 * :class:`Connection` — one framed, thread-safe, byte-counted socket
   (used by both the server's per-worker links and the worker's single
   link back to the server).  Every frame is measured as it crosses the
@@ -17,6 +10,10 @@ Three layers live here:
   reader threads, worker registry keyed by owned client ids,
   heartbeat-based liveness, and deadline-bounded collection of client
   updates **ordered by client id** so aggregation stays deterministic.
+  It is the socket-backed :class:`repro.federated.cohort.Cohort`: the
+  one round loop hands it the global classifier and gets arrivals back.
+  Rank 0 is the server and client ``k`` is rank ``k + 1`` on the cost
+  ledger, the convention :class:`repro.comm.SimComm` established.
 """
 
 from __future__ import annotations
@@ -25,9 +22,6 @@ import queue
 import socket
 import threading
 import time
-from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 from repro import telemetry
 from repro.comm.cost import CostModel
@@ -47,32 +41,11 @@ from repro.net.protocol import (
 )
 from repro.net.retry import Deadline
 
-__all__ = ["Transport", "Connection", "WorkerLink", "TcpTransport"]
+__all__ = ["Connection", "WorkerLink", "TcpTransport", "SimulatedCrash"]
 
 
-@runtime_checkable
-class Transport(Protocol):
-    """What a federated round loop may assume about its communicator.
-
-    ``size`` counts ranks (server + clients); ``cost`` is the shared
-    byte/time ledger every transfer is recorded on.  The four message
-    operations follow mpi4py semantics: lowercase object send/recv plus
-    root-based ``bcast`` / ``gather``.  Both the in-process
-    :class:`repro.comm.SimComm` and the socket-backed
-    :class:`TcpTransport` satisfy this protocol (checkable via
-    ``isinstance`` — the protocol is runtime-checkable).
-    """
-
-    size: int
-    cost: CostModel
-
-    def send(self, obj, src: int, dst: int, tag: int = 0) -> None: ...
-
-    def recv(self, dst: int, src: int | None = None, tag: int | None = None): ...
-
-    def bcast(self, obj, root: int = 0, ranks: list[int] | None = None): ...
-
-    def gather(self, objs: dict[int, object], root: int = 0) -> list: ...
+class SimulatedCrash(RuntimeError):
+    """Raised by the server's crash hooks (crash-resume tests)."""
 
 
 class Connection:
@@ -193,10 +166,12 @@ class WorkerLink:
 class TcpTransport:
     """Server side of the TCP runtime: registry, liveness, ordered gather.
 
-    Satisfies :class:`Transport` (rank 0 = this server, rank ``k + 1`` =
-    client ``k``), and adds the deadline/liveness-aware operations the
-    real round loop needs (:meth:`collect_updates`,
-    :meth:`collect_evals`) that an in-process simulation never would.
+    Implements :class:`repro.federated.cohort.Cohort` over sockets
+    (:meth:`initial_states`, :meth:`run_round`, :meth:`collect_more`,
+    :meth:`evaluate`, :meth:`client_is_live`) on top of the
+    deadline/liveness-aware :meth:`collect_updates`; it moves bytes and
+    reports arrivals, and knows nothing of sampling, screening, quorum or
+    aggregation.
 
     ``config`` is the run configuration sent to each worker in the
     CONFIG reply to its HELLO — the worker builds its data partition and
@@ -209,11 +184,11 @@ class TcpTransport:
     owners are superseded — and a still-"alive" owner is first marked
     dead so the lost → recovered event pairing stays consistent no
     matter which thread notices the old socket's death first), replies
-    with CONFIG carrying a ``rejoin`` meta section from the
-    ``rejoin_state()`` callable (current round info + global
-    classifier), and fires ``on_worker_rejoined(link, meta)``.  With
+    with CONFIG carrying a ``rejoin`` meta section (:attr:`round_info`,
+    the round in flight) plus the global classifier ``rejoin_state()``
+    returns, and fires ``on_worker_rejoined(link, meta)``.  With
     ``rejoin_grace_s > 0``, :meth:`collect_updates` /
-    :meth:`collect_evals` keep waiting for a client whose worker died
+    :meth:`evaluate` keep waiting for a client whose worker died
     less than that many seconds ago instead of writing the round off —
     the window a supervisor respawn or a chaos-layer reconnect needs.
     """
@@ -234,11 +209,13 @@ class TcpTransport:
         rejoin_state=None,
         rejoin_grace_s: float = 0.0,
         wire: str = "full",
+        join_timeout_s: float = 60.0,
+        round_timeout_s: float = 60.0,
+        trace_id: str | None = None,
     ):
         if num_clients < 1:
             raise ValueError("transport needs at least one client")
         self.num_clients = num_clients
-        self.size = num_clients + 1
         self.cost = cost_model or CostModel()
         self.wire = wire
         #: encode/decode tallies aggregated across every worker connection
@@ -250,9 +227,20 @@ class TcpTransport:
         self.liveness_timeout_s = liveness_timeout_s
         self.on_worker_lost = on_worker_lost
         self.on_worker_rejoined = on_worker_rejoined
-        #: () -> (round_info_dict, global_state | None) for REJOIN replies
+        #: () -> global_state | None, sent with REJOIN replies
         self.rejoin_state = rejoin_state
         self.rejoin_grace_s = rejoin_grace_s
+        self.join_timeout_s = join_timeout_s
+        self.round_timeout_s = round_timeout_s
+        #: correlation id piggybacked (with the current round span's id)
+        #: as ``_trace`` meta on outbound frames when telemetry is live
+        self.trace_id = trace_id
+        #: what a REJOINing worker is told: -1 is the init phase, -2 a
+        #: restored server between rounds, else the round in flight
+        self.round_info: dict = {"round": -1}
+        #: crash hook (tests): abort every socket + raise SimulatedCrash
+        #: between this round's broadcast and its collection
+        self.crash_in_round: int | None = None
         self._listener: socket.socket | None = None
         self._lock = threading.Lock()
         self._death_lock = threading.Lock()
@@ -269,9 +257,6 @@ class TcpTransport:
     # -- rank helpers ---------------------------------------------------
     def rank_of(self, client_id: int) -> int:
         return client_id + 1
-
-    def client_of(self, rank: int) -> int:
-        return rank - 1
 
     # -- lifecycle ------------------------------------------------------
     def listen(self) -> tuple[str, int]:
@@ -364,11 +349,6 @@ class TcpTransport:
             t.join(timeout=2.0)
 
     # -- registry -------------------------------------------------------
-    @property
-    def links(self) -> list[WorkerLink]:
-        with self._lock:
-            return list(self._links)
-
     def live_links(self) -> list[WorkerLink]:
         with self._lock:
             return [l for l in self._links if l.alive]
@@ -444,69 +424,99 @@ class TcpTransport:
             if link.client_ids:
                 self.cost.record(self.server_rank, self.rank_of(min(link.client_ids)), n)
 
-    # -- Transport protocol surface ------------------------------------
-    def send(self, obj, src: int, dst: int, tag: int = 0) -> None:
-        """Rank-addressed state-dict send (Transport-interface parity).
+    # -- the cohort interface (what the one round loop calls) -----------
+    def initial_states(self) -> dict[int, tuple[dict, dict]]:
+        """t=0: every client's initial classifier and ``|D_k|``.
 
-        ``src`` must be the server rank — a TCP server cannot forge
-        client-to-client traffic the way an in-process mailbox can.
+        Workers report each owned client's initial classifier as a round
+        ``-1`` CLIENT_UPDATE right after CONFIG; aggregating them in
+        client-id order reproduces the in-process init bit-for-bit.
         """
-        if src != self.server_rank:
-            raise ValueError("TcpTransport can only send from the server rank")
-        self.send_to_client(self.client_of(dst), MsgType.CLASSIFIER, {"tag": tag}, obj)
+        everyone = list(range(self.num_clients))
+        got = self.collect_updates(-1, everyone, Deadline(self.join_timeout_s))
+        missing = sorted(set(everyone) - set(got))
+        if missing:
+            raise TimeoutError(f"clients {missing} never reported their initial classifier")
+        return got
 
-    def recv(self, dst: int, src: int | None = None, tag: int | None = None):
-        """Pop the next matching CLIENT_UPDATE state (Transport parity).
+    def _trace_meta(self) -> dict | None:
+        """``_trace`` section for outbound frames (None when not tracing).
 
-        Raises ``LookupError`` when nothing matching is queued, mirroring
-        ``SimComm.recv``'s non-blocking contract.
+        Carries the run's trace id plus the *current* span's id — inside
+        the round loop that is the open ``round`` span, which is exactly
+        what a worker's ``local_update`` spans should parent to.
         """
-        if dst != self.server_rank:
-            raise ValueError("TcpTransport can only receive at the server rank")
-        stash = []
-        try:
-            while True:
-                try:
-                    client_id, meta, state, arrived = self._updates.get_nowait()
-                except queue.Empty:
-                    raise LookupError(
-                        f"no queued update for rank {dst} from {src} tag {tag}"
-                    ) from None
-                if (src is None or self.rank_of(client_id) == src) and (
-                    tag is None or meta.get("tag", 0) == tag
-                ):
-                    return state
-                stash.append((client_id, meta, state, arrived))
-        finally:
-            for item in stash:
-                self._updates.put(item)
+        tel = telemetry.get_telemetry()
+        if not tel.enabled or tel.tracer is None:
+            return None
+        sid = tel.tracer.current_span_id()
+        if sid is None:
+            return None
+        return {"id": self.trace_id, "span": sid}
 
-    def bcast(self, obj, root: int = 0, ranks: list[int] | None = None):
-        """Broadcast a state dict to ``ranks`` (default: every client)."""
-        if root != self.server_rank:
-            raise ValueError("TcpTransport broadcasts originate at the server rank")
-        targets = ranks if ranks is not None else list(range(1, self.size))
-        bytes0 = self.cost.total_bytes
-        with telemetry.span("broadcast", root=root, targets=len(targets)) as sp:
-            for dst in targets:
-                if dst != root:
-                    self.send(obj, root, dst)
-            sp.set(nbytes=self.cost.total_bytes - bytes0)
-        return [obj for dst in targets if dst != root]
+    def run_round(
+        self, t: int, sampled: list[int], state: dict, evaluating: bool
+    ) -> tuple[dict[int, tuple[dict, dict]], dict[str, float]]:
+        """Broadcast ``state`` to ``sampled``, then gather this round's updates.
 
-    def gather(self, objs: dict[int, object], root: int = 0) -> list:
-        """Gather one update per rank in ``objs`` (ordered by rank).
-
-        The in-process ``SimComm.gather`` takes the payloads because the
-        caller *is* every rank at once; here the payloads already sit in
-        flight from real workers, so only the rank set matters.  Blocks
-        up to the liveness timeout.
+        Returns ``(updates, phases)`` where ``phases`` is this side of the
+        round's critical path: ``broadcast_s`` (send-loop wall),
+        ``compute_s`` (slowest single client), ``queue_s`` (what the
+        busiest worker — it trains the clients it owns one after another
+        — spent on its other clients), ``wait_s`` (collection wall beyond
+        that worker: wire latency + slack).
         """
-        if root != self.server_rank:
-            raise ValueError("TcpTransport gathers at the server rank")
-        expected = sorted(self.client_of(r) for r in objs)
-        got = self.collect_updates(None, expected, Deadline(self.liveness_timeout_s))
-        return [got[k][1] for k in sorted(got)]
+        trace = self._trace_meta()
+        # publish before broadcasting: a worker that rejoins mid-round
+        # must see this round in its CONFIG reply, not the previous one
+        self.round_info = {"round": t, "sampled": sampled, "evaluated": evaluating}
+        bcast0 = time.perf_counter()
+        start_meta = dict(self.round_info)
+        if trace is not None:
+            start_meta["_trace"] = trace
+        self.broadcast_control(MsgType.ROUND_START, start_meta)
+        for k in sampled:
+            cls_meta: dict = {"round": t}
+            if trace is not None:
+                cls_meta["_trace"] = trace
+            try:
+                self.send_to_client(k, MsgType.CLASSIFIER, cls_meta, state)
+            except ConnectionError:
+                continue  # worker died; loss already recorded via on_worker_lost
+        phases = {"broadcast_s": time.perf_counter() - bcast0}
+        if self.crash_in_round is not None and t == self.crash_in_round:
+            self.abort()
+            raise SimulatedCrash(f"simulated server crash mid-round {t}")
+        collect0 = time.perf_counter()
+        updates = self.collect_updates(t, sampled, Deadline(self.round_timeout_s))
+        collect_s = time.perf_counter() - collect0
+        monitor = telemetry.get_telemetry().health
+        slowest = 0.0
+        busy: dict[int, float] = {}  # owning link -> summed durations
+        for k, (meta, _state) in sorted(updates.items()):
+            dur = float(meta.get("duration_s") or 0.0)
+            slowest = max(slowest, dur)
+            owner = id(self.owner_of(k))
+            busy[owner] = busy.get(owner, 0.0) + dur
+            # the server's only view of the client's training: the worker's
+            # own monitor (if any) lives in another process
+            if monitor is not None:
+                monitor.observe_client(
+                    k,
+                    loss=meta.get("loss"),
+                    duration_s=meta.get("duration_s"),
+                )
+        busiest = max(busy.values(), default=0.0)
+        phases["compute_s"] = slowest
+        phases["queue_s"] = busiest - slowest
+        phases["wait_s"] = max(0.0, collect_s - busiest)
+        return updates, phases
+
+    def collect_more(
+        self, t: int, missing: list[int], timeout_s: float | None
+    ) -> dict[int, tuple[dict, dict]]:
+        """One more window (default: the round timeout) for ``missing``'s updates."""
+        return self.collect_updates(t, missing, Deadline(timeout_s or self.round_timeout_s))
 
     # -- collection (the real round loop's receive path) ----------------
     def collect_updates(
@@ -576,13 +586,15 @@ class TcpTransport:
                 telemetry.latency("net.straggler_wait_s").observe(straggle)
         return got
 
-    def collect_evals(self, round_idx: int, deadline: Deadline) -> dict[int, float]:
+    def evaluate(self, round_idx: int) -> dict[int, float]:
         """Collect per-client accuracies from every live worker's EVAL.
 
-        A deadline expiry while workers still owe reports counts on
-        ``net.timeouts`` — the eval path's misses are as real as the
-        update path's.
+        Workers evaluate on their own once an evaluated round's training
+        is done; this waits up to the round timeout for their reports.  An
+        expiry while workers still owe reports counts on ``net.timeouts``
+        — the eval path's misses are as real as the update path's.
         """
+        deadline = Deadline(self.round_timeout_s)
         accs: dict[int, float] = {}
         reported: set[int] = set()
         while True:
@@ -704,13 +716,8 @@ class TcpTransport:
                     # timing-dependent
                     if self.on_worker_rejoined is not None:
                         self.on_worker_rejoined(link, msg.meta)
-                    reply = dict(self.config)
-                    state = None
-                    if self.rejoin_state is not None:
-                        round_info, state = self.rejoin_state()
-                        reply["rejoin"] = dict(round_info)
-                    else:
-                        reply["rejoin"] = {"round": -1}
+                    reply = {**self.config, "rejoin": dict(self.round_info)}
+                    state = self.rejoin_state() if self.rejoin_state is not None else None
                     link.conn.send(Message(MsgType.CONFIG, reply, state))
                 elif msg.type == MsgType.CLIENT_UPDATE:
                     # per-client traffic: attribute to the reporting client's rank

@@ -52,7 +52,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.federated.setup import FederationSpec, build_federation
-from repro.federated.trainer import LocalUpdateConfig, local_update
+from repro.federated.trainer import LocalUpdateConfig, client_round
 from repro.net.chaos import AdversarySchedule, ChaosConfig, ChaosConnection, ChaosEngine
 from repro.net.protocol import ConnectionClosed, Message, MsgType
 from repro.net.retry import Heartbeat, RetryPolicy, call_with_retries
@@ -128,15 +128,6 @@ class _Session:
         #: AdversarySchedule from CONFIG (None = every client honest);
         #: survives reconnects so stale_replay history is not lost
         self.adversaries: AdversarySchedule | None = None
-
-    def payload_of(self, client):
-        return client.model.state_dict() if self.share_all else client.model.classifier_state()
-
-    def load_payload(self, client, state):
-        if self.share_all:
-            client.model.load_state_dict(state)
-        else:
-            client.model.load_classifier_state(state)
 
     def begin_round(self, meta: dict) -> None:
         self.current_round = int(meta.get("round", -1))
@@ -326,7 +317,7 @@ def _run_session(
                     Message(
                         MsgType.CLIENT_UPDATE,
                         {"client": k, "round": -1, "data_size": sess.by_id[k].data_size},
-                        sess.payload_of(sess.by_id[k]),
+                        sess.by_id[k].shared_state(sess.share_all),
                     )
                 )
 
@@ -347,7 +338,7 @@ def _run_session(
                 # client from the current global classifier (best-effort
                 # resume — local feature extractors restart from init)
                 for c in sess.by_id.values():
-                    sess.load_payload(c, config.state)
+                    c.load_shared_state(config.state, sess.share_all)
                 log(f"bootstrapped {len(sess.by_id)} client(s) from round-{rejoin_round} global")
             _enter_round(conn, sess, opts, rejoin_info, config.state, log)
 
@@ -457,36 +448,25 @@ def _train_and_send(
     ``trace-merge`` can hang this worker's spans under the server's
     round span.
     """
-    client = sess.by_id[k]
-    sess.load_payload(client, state)
-    reference = {name: v.copy() for name, v in state.items()}
     ctx_attrs = (
         {"round": t, "trace_id": trace.get("id"), "trace_parent": trace.get("span")}
         if trace
         else {}
     )
-    t0 = time.perf_counter()
     assert sess.trainer_cfg is not None
+    # the client half shared with the in-process cohort; adversary
+    # corruption happens inside it — on the raw classifier, exactly once
+    # per (client, round) — *before* the resend cache, so a rejoin resends
+    # the same poisoned bytes (stale_replay history must not advance twice)
     with telemetry.context(**ctx_attrs):
-        loss = local_update(client, sess.local_epochs, sess.trainer_cfg, reference)
-    duration = time.perf_counter() - t0
+        report, payload = client_round(
+            sess.by_id[k], t, state, sess.local_epochs, sess.trainer_cfg,
+            sess.share_all, sess.adversaries,
+        )
     if opts.stall_at_round is not None and t == opts.stall_at_round:
         log(f"chaos hook: stalling {opts.stall_s:.1f}s at round {t}")
         time.sleep(opts.stall_s)
-    meta = {
-        "client": k,
-        "round": t,
-        "data_size": client.data_size,
-        "loss": loss,
-        "duration_s": duration,
-    }
-    payload = sess.payload_of(client)
-    # adversary corruption happens here — on the raw classifier, exactly
-    # once per (client, round) — *before* the resend cache, so a rejoin
-    # resends the same poisoned bytes (stale_replay history must not
-    # advance twice either)
-    if sess.adversaries is not None:
-        payload = sess.adversaries.corrupt(k, t, payload)
+    meta = {"client": k, "round": t, **report}
     # cache before sending: if the send faults, the rejoin path resends
     # this exact result instead of training again
     sess.round_updates[k] = (meta, payload)

@@ -305,9 +305,10 @@ def _fmt_lat(v) -> str:
 def _render_network(s: RunSummary) -> str | None:
     """Wire-latency percentiles + per-round critical path, when recorded.
 
-    Returns ``None`` for runs without network telemetry (pre-tracing
-    files, sim-only runs) so the section vanishes instead of rendering
-    empty tables.
+    Returns ``None`` for files that recorded neither (pre-tracing runs)
+    so the section vanishes instead of rendering empty tables.  An
+    in-process run records the phases it has (broadcast, compute,
+    aggregate) and no wire latencies.
     """
     latencies = (s.metrics or {}).get("latencies") or {}
     net_lat = {k: v for k, v in latencies.items() if k.startswith("net.")}

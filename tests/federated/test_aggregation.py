@@ -118,6 +118,22 @@ class TestDropNonfinite:
     def test_all_poisoned_returns_empty(self):
         assert drop_nonfinite_states([_state(np.nan)], [1]) == ([], [])
 
+    def test_sync_and_async_setup_share_the_init_average(self, micro_federation):
+        """A NaN-initialised client is left out of the t=0 average by both
+        algorithms — AsyncFedClassAvg used to raise AggregationError here."""
+        from repro.algorithms import AsyncFedClassAvg
+        from repro.core import FedClassAvg
+
+        clients, _ = micro_federation
+        for _name, p in clients[1].model.classifier_parameters():
+            p.data[...] = np.nan
+        sync, asyn = FedClassAvg(clients, seed=0), AsyncFedClassAvg(clients, seed=0)
+        sync.setup()
+        asyn.setup()
+        assert all(np.isfinite(v).all() for v in sync.global_state.values())
+        for key, value in sync.global_state.items():
+            assert np.array_equal(asyn.global_state[key], value)
+
 
 class TestInterpolate:
     def test_endpoints(self):

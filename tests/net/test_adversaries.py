@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.federated.faults import FaultInjector
 from repro.net.chaos import AdversaryPersona, AdversarySchedule
 
 
@@ -134,16 +133,3 @@ class TestScheduleConfig:
     def test_enabled(self):
         assert not AdversarySchedule({}, seed=0).enabled
         assert AdversarySchedule({0: AdversaryPersona("sign_flip")}, seed=0).enabled
-
-
-class TestFaultInjectorDelegate:
-    def test_no_adversaries_is_identity(self):
-        inj = FaultInjector(seed=0)
-        s = _state()
-        assert inj.corrupt(0, 0, s) is s
-
-    def test_delegates_to_schedule(self):
-        sched = AdversarySchedule({0: AdversaryPersona("sign_flip")}, seed=0)
-        inj = FaultInjector(seed=0, adversaries=sched)
-        out = inj.corrupt(0, 0, _state(3.0))
-        assert np.allclose(out["w"], -3.0)

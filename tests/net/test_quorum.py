@@ -1,4 +1,5 @@
-"""Quorum policies: participation math, and e2e skip/abort behavior.
+"""Quorum policies: participation math, the merged round's invariants
+against a scripted cohort, and e2e skip/abort behavior.
 
 The e2e runs kill worker 1 (whatever clients it was placed) at round 1 with no
 supervision and no rejoin grace, so rounds 1+ can never reach a
@@ -14,10 +15,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro import telemetry
-from repro.federated import FederationSpec, default_firewall
+from repro.comm import CostModel
+from repro.core import FedClassAvg
+from repro.federated import FaultInjector, FederationSpec, FiniteValidator, UpdateFirewall
 from repro.net.launcher import place_clients, run_tcp_federation
-from repro.net.server import FedTcpServer, QuorumError, QuorumPolicy
+from repro.net.server import QuorumError, QuorumPolicy
 
 NUM_CLIENTS = 3
 
@@ -75,92 +81,189 @@ def _ref_state(value=1.0):
     return {"w": np.full((2, 2), value, dtype=np.float64)}
 
 
-def _quorum_server(policy):
-    """A FedTcpServer for unit-testing ``_apply_quorum`` — the transport
-    is constructed but never bound, so no socket is involved."""
-    server = FedTcpServer(5, 1, {}, quorum=policy, firewall=default_firewall())
-    server.global_state = _ref_state()
-    return server
+FATES = ("on_time", "late", "never", "poisoned", "late_poisoned")
 
 
-def _screened(server, t, updates):
-    """Mimic ``_run_rounds``: screen arrivals, hand survivors to quorum."""
-    from repro.federated import screen_updates
+class ScriptedCohort:
+    """A cohort that plays back per-round arrival fates: no sockets, no training.
 
-    arrived = set(updates)
-    admitted_states, rejected = screen_updates(
-        t, {k: s for k, (_m, s) in updates.items()}, server.firewall, server.global_state
+    ``script[t][k]`` says what becomes of client ``k``'s round-``t`` upload:
+    it arrives ``on_time``, only in an extension window (``late``),
+    ``never``, or it arrives as a NaN bomb (``poisoned`` /
+    ``late_poisoned``).  Every call the round loop makes is logged.
+    """
+
+    def __init__(self, script: list[list[str]]):
+        self.script = script
+        self.num_clients = len(script[0])
+        self.cost = CostModel()
+        self.delivered: dict[int, set[int]] = {}  # round -> clients handed over
+        self.requests: list[tuple[int, list[int], set[int]]] = []
+        self.on_evaluate = lambda t: None
+
+    def _upload(self, t: int, k: int):
+        bad = self.script[t][k].endswith("poisoned")
+        meta = {"data_size": 10 + k, "loss": 100.0 * t + k, "duration_s": 0.0}
+        return meta, _ref_state(np.nan if bad else 1.0 + 0.01 * k + 0.1 * t)
+
+    def initial_states(self):
+        return {k: ({"data_size": 10 + k}, _ref_state()) for k in range(self.num_clients)}
+
+    def run_round(self, t, sampled, state, evaluating):
+        on_time = ("on_time", "poisoned")
+        got = {k: self._upload(t, k) for k in sampled if self.script[t][k] in on_time}
+        self.delivered[t] = set(got)
+        return got, {}
+
+    def collect_more(self, t, missing, timeout_s):
+        self.requests.append((t, sorted(missing), set(self.delivered[t])))
+        got = {k: self._upload(t, k) for k in missing if self.script[t][k].startswith("late")}
+        self.delivered[t] |= set(got)
+        return got
+
+    def evaluate(self, t):
+        self.on_evaluate(t)
+        return {k: 0.5 for k in range(self.num_clients)}
+
+    def client_is_live(self, k):
+        return True
+
+
+def _scripted(script, policy):
+    cohort = ScriptedCohort(script)
+    algo = FedClassAvg(
+        [], seed=0, quorum=policy, firewall=UpdateFirewall([FiniteValidator()]), cohort=cohort
     )
-    admitted = {k: updates[k] for k in admitted_states}
-    return admitted, arrived, rejected
+    return algo, cohort
 
 
 class TestQuorumCountsAdmittedOnly:
     """Five uploads arrive, three are quarantined: participation is 2,
     not 5 — every ``on_miss`` mode must treat that as a quorum miss."""
 
-    def _updates(self):
-        meta = {"loss": 0.5}
-        good = {k: (meta, _ref_state(1.0 + 0.01 * k)) for k in (0, 1)}
-        bad = {k: (meta, _ref_state(np.nan)) for k in (2, 3, 4)}
-        return {**good, **bad}
+    SCRIPT = [["on_time", "on_time", "poisoned", "poisoned", "poisoned"]]
 
     def test_rejections_do_not_count_toward_quorum_skip(self):
-        server = _quorum_server(QuorumPolicy(min_count=4, on_miss="skip_round"))
-        admitted, arrived, rejected = _screened(server, 0, self._updates())
-        assert sorted(admitted) == [0, 1]
-        assert [r["client"] for r in rejected] == [2, 3, 4]
-        result, skipped = server._apply_quorum(0, list(range(5)), admitted, arrived, rejected)
-        assert skipped is True  # 2 admitted < 4 required despite 5 arrivals
+        algo, _ = _scripted(self.SCRIPT, QuorumPolicy(min_count=4, on_miss="skip_round"))
+        algo.run(1)
+        (row,) = algo.round_log
+        assert row["skipped"] is True  # 2 admitted < 4 required despite 5 arrivals
+        assert row["survivors"] == [0, 1]
+        assert [r["client"] for r in row["rejected"]] == [2, 3, 4]
+        assert np.array_equal(algo.global_state["w"], _ref_state()["w"])
 
     def test_quorum_met_by_admitted_updates_alone(self):
-        server = _quorum_server(QuorumPolicy(min_count=2, on_miss="skip_round"))
-        admitted, arrived, rejected = _screened(server, 0, self._updates())
-        result, skipped = server._apply_quorum(0, list(range(5)), admitted, arrived, rejected)
-        assert skipped is False
-        assert sorted(result) == [0, 1]
+        algo, _ = _scripted(self.SCRIPT, QuorumPolicy(min_count=2, on_miss="skip_round"))
+        algo.run(1)
+        (row,) = algo.round_log
+        assert row["skipped"] is False
+        assert row["survivors"] == [0, 1]
+        assert not np.array_equal(algo.global_state["w"], _ref_state()["w"])
 
     def test_abort_mode_raises_on_rejection_shortfall(self):
-        server = _quorum_server(QuorumPolicy(min_count=4, on_miss="abort"))
-        admitted, arrived, rejected = _screened(server, 0, self._updates())
+        algo, _ = _scripted(self.SCRIPT, QuorumPolicy(min_count=4, on_miss="abort"))
         with pytest.raises(QuorumError, match="quorum requires 4"):
-            server._apply_quorum(0, list(range(5)), admitted, arrived, rejected)
+            algo.run(1)
 
     def test_extend_mode_does_not_wait_when_everyone_arrived(self):
         # all five arrived; the shortfall is rejections, so extending the
-        # deadline cannot help — _apply_quorum must not call the transport
-        server = _quorum_server(
-            QuorumPolicy(min_count=4, on_miss="extend_deadline", max_extensions=3)
+        # deadline cannot help — the cohort must not be asked again
+        algo, cohort = _scripted(
+            self.SCRIPT, QuorumPolicy(min_count=4, on_miss="extend_deadline", max_extensions=3)
         )
-
-        def boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("extension must not re-collect when nothing is missing")
-
-        server.transport.collect_updates = boom
-        admitted, arrived, rejected = _screened(server, 0, self._updates())
-        result, skipped = server._apply_quorum(0, list(range(5)), admitted, arrived, rejected)
-        assert skipped is True
+        algo.run(1)
+        assert cohort.requests == []
+        assert algo.round_log[0]["skipped"] is True
 
     def test_extension_arrivals_are_rescreened(self):
-        # client 3 never arrived; during the extension it sends a NaN bomb
+        # client 2 never arrived; during the extension it sends a NaN bomb
         # which must be screened out, leaving the quorum still missed
-        server = _quorum_server(
-            QuorumPolicy(min_count=3, on_miss="extend_deadline", max_extensions=1)
+        algo, cohort = _scripted(
+            [["on_time", "on_time", "late_poisoned"]],
+            QuorumPolicy(min_count=3, on_miss="extend_deadline", max_extensions=1),
         )
-        updates = {k: ({"loss": 0.5}, _ref_state(1.0 + 0.01 * k)) for k in (0, 1)}
-        calls = []
+        algo.run(1)
+        assert [(t, missing) for t, missing, _ in cohort.requests] == [(0, [2])]
+        (row,) = algo.round_log
+        assert row["skipped"] is True  # late NaN was rejected, quorum still short
+        assert row["survivors"] == [0, 1]
+        assert [r["client"] for r in row["rejected"]] == [2]
+        assert row["timed_out"] == [2]  # it did miss the round's own deadline
 
-        def late_nan(t, missing, deadline):
-            calls.append(sorted(missing))
-            return {3: ({"loss": 9.0}, _ref_state(np.nan))}
 
-        server.transport.collect_updates = late_nan
-        admitted, arrived, rejected = _screened(server, 0, updates)
-        result, skipped = server._apply_quorum(0, [0, 1, 3], admitted, arrived, rejected)
-        assert calls == [[3]]  # only the truly-missing client was re-waited
-        assert skipped is True  # late NaN was rejected, quorum still short
-        assert sorted(result) == [0, 1]
-        assert [r["client"] for r in rejected] == [3]
+class TestMergedRoundProperties:
+    """Invariants of the one round, over generated arrival schedules."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        script=st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from(FATES), min_size=n, max_size=n), min_size=1, max_size=4
+            )
+        ),
+        on_miss=st.sampled_from(["skip_round", "extend_deadline", "abort"]),
+        min_count=st.integers(0, 5),
+        max_extensions=st.integers(0, 2),
+    )
+    def test_round_invariants(self, script, on_miss, min_count, max_extensions):
+        policy = QuorumPolicy(min_count=min_count, on_miss=on_miss, max_extensions=max_extensions)
+        algo, cohort = _scripted(script, policy)
+        states = []
+        cohort.on_evaluate = lambda t: states.append(algo.global_state["w"].copy())
+        try:
+            history = algo.run(len(script))
+        except QuorumError:
+            assert on_miss == "abort"
+            history = algo.history
+        before = _ref_state()["w"]
+        n = cohort.num_clients
+        for row, metrics, after in zip(algo.round_log, history.rounds, states):
+            t = row["round"]
+            survivors, arrived = set(row["survivors"]), cohort.delivered[t]
+            assert survivors <= arrived <= set(row["sampled"]) == set(range(n))
+            assert survivors == {k for k in arrived if not script[t][k].endswith("poisoned")}
+            assert row["skipped"] == (len(survivors) < policy.required(n))
+            assert not (row["skipped"] and on_miss == "abort")
+            if row["skipped"] or not survivors:
+                assert np.array_equal(after, before)  # bit-unchanged
+            else:
+                lo = min(1.0 + 0.01 * k + 0.1 * t for k in survivors)
+                hi = max(1.0 + 0.01 * k + 0.1 * t for k in survivors)
+                assert (after >= lo - 1e-12).all() and (after <= hi + 1e-12).all()
+            expected = np.mean([100.0 * t + k for k in survivors]) if survivors else 0.0
+            assert metrics.train_loss == pytest.approx(expected)
+            before = after
+        # an extension window only ever asks for clients that have not arrived
+        for t, missing, already in cohort.requests:
+            assert on_miss == "extend_deadline" and missing and not set(missing) & already
+        assert len(cohort.requests) <= max_extensions * len(script)
+
+
+class TestSimPathQuorum:
+    def test_fault_injector_dropouts_count_against_quorum(self, micro_federation):
+        """In process, an upload the fault injector drops is a missed
+        deadline: short rounds are skipped and alerted exactly as on TCP."""
+        clients, _ = micro_federation
+        injector = FaultInjector(0.5, seed=18)  # drops [0,1], none, [2], [0]
+        algo = FedClassAvg(
+            clients, rho=0.1, seed=0, fault_injector=injector,
+            quorum=QuorumPolicy(min_fraction=0.8),
+        )
+        tel = telemetry.configure()
+        try:
+            algo.run(4)
+            misses = [a for a in tel.health.alerts if a["detector"] == "quorum_miss"]
+            skipped_counter = telemetry.counter("net.rounds_skipped").value
+        finally:
+            tel.close()
+            telemetry.disable()
+        short = [t for t, dropped in enumerate(injector.dropped_log) if dropped]
+        assert short and len(short) < 4, "seed must give both short and full rounds"
+        assert [r["round"] for r in algo.round_log if r["skipped"]] == short
+        assert [a["round"] for a in misses] == short
+        assert skipped_counter == len(short)
+        for row, dropped in zip(algo.round_log, injector.dropped_log):
+            assert row["timed_out"] == dropped
 
 
 def _run(policy, tmp_path, tag):

@@ -1,4 +1,4 @@
-"""Transport interface + TcpTransport against scripted in-process workers."""
+"""TcpTransport against scripted in-process workers."""
 
 import socket
 import threading
@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm import CostModel, SimComm
+from repro.comm import CostModel
 from repro.net.protocol import Message, MsgType, recv_message, send_message
 from repro.net.retry import Deadline
-from repro.net.transport import Connection, TcpTransport, Transport
+from repro.net.transport import Connection, TcpTransport
 
 
 class FakeWorker:
@@ -53,16 +53,9 @@ def joined_worker(tp: TcpTransport, ids: list[int]) -> FakeWorker:
 
 
 class TestTransportProtocol:
-    def test_simcomm_satisfies_interface(self):
-        assert isinstance(SimComm(3), Transport)
-
-    def test_tcp_transport_satisfies_interface(self):
-        assert isinstance(TcpTransport(2), Transport)
-
     def test_rank_convention_matches_simcomm(self):
         tp = TcpTransport(4)
-        assert tp.size == 5  # server + 4 clients
-        assert tp.rank_of(0) == 1 and tp.client_of(3) == 2
+        assert tp.server_rank == 0 and tp.rank_of(0) == 1 and tp.rank_of(3) == 4
 
     def test_rejects_zero_clients(self):
         with pytest.raises(ValueError):
@@ -180,40 +173,55 @@ class TestRoundTraffic:
         assert lost == [[0, 1]]
 
 
-class TestTransportParityOps:
-    def test_bcast_and_gather(self, transport):
+class TestCohortOps:
+    """The calls the one round loop makes, against a scripted worker."""
+
+    def test_run_round_broadcasts_then_returns_arrivals_and_phases(self, transport):
         w = joined_worker(transport, [0, 1])
         transport.wait_for_workers(5.0)
         state = {"w": np.arange(3.0)}
 
         def echo():
+            start = w.recv()
+            assert start.type is MsgType.ROUND_START
+            assert start.meta == {"round": 4, "sampled": [0, 1], "evaluated": True}
             for _ in range(2):
                 msg = w.recv()
-                assert msg.type is MsgType.CLASSIFIER
-                w.send(
-                    Message(
-                        MsgType.CLIENT_UPDATE,
-                        {"client": msg.meta["client"]},
-                        msg.state,
-                    )
-                )
+                assert msg.type is MsgType.CLASSIFIER and msg.meta["round"] == 4
+                meta = {"client": msg.meta["client"], "round": 4, "duration_s": 0.25}
+                w.send(Message(MsgType.CLIENT_UPDATE, meta, msg.state))
+            w.send(Message(MsgType.EVAL, {"round": 4, "accs": {"0": 0.5, "1": 0.75}}))
 
         t = threading.Thread(target=echo, daemon=True)
         t.start()
-        transport.bcast(state, root=0)
-        out = transport.gather({1: None, 2: None}, root=0)
+        arrivals, phases = transport.run_round(4, [0, 1], state, evaluating=True)
+        assert transport.round_info["round"] == 4  # what a rejoining worker is told
+        assert sorted(arrivals) == [0, 1]
+        assert all(np.array_equal(s["w"], state["w"]) for _m, s in arrivals.values())
+        # one worker owns both clients: the second queued behind the first
+        assert phases["compute_s"] == 0.25 and phases["queue_s"] == 0.25
+        assert set(phases) == {"broadcast_s", "compute_s", "queue_s", "wait_s"}
+        assert transport.evaluate(4) == {0: 0.5, 1: 0.75}
         t.join(5.0)
-        assert len(out) == 2
-        assert all(np.array_equal(s["w"], state["w"]) for s in out)
         w.close()
 
-    def test_send_rejects_non_server_src(self, transport):
-        with pytest.raises(ValueError):
-            transport.send({}, src=1, dst=2)
+    def test_initial_states_needs_every_client(self, transport):
+        w = joined_worker(transport, [0, 1])
+        transport.wait_for_workers(5.0)
+        transport.join_timeout_s = 0.3
+        w.send(Message(MsgType.CLIENT_UPDATE, {"client": 0, "round": -1, "data_size": 7}, {}))
+        with pytest.raises(TimeoutError, match=r"clients \[1\] never reported"):
+            transport.initial_states()
+        w.close()
 
-    def test_recv_empty_raises_lookup_error(self, transport):
-        with pytest.raises(LookupError):
-            transport.recv(0)
+    def test_collect_more_only_waits_for_the_named_clients(self, transport):
+        w = joined_worker(transport, [0, 1])
+        transport.wait_for_workers(5.0)
+        w.send(Message(MsgType.CLIENT_UPDATE, {"client": 1, "round": 2}, {}))
+        t0 = time.monotonic()
+        assert sorted(transport.collect_more(2, [1], timeout_s=5.0)) == [1]
+        assert time.monotonic() - t0 < 4.0
+        w.close()
 
 
 class TestConnection:

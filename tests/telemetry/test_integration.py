@@ -151,16 +151,12 @@ class TestSurvivorLoss:
     def test_round_loss_is_mean_over_survivors_only(self, micro_federation, monkeypatch):
         """Faulted clients' losses must not leak into the reported round loss."""
         from repro.federated import trainer as trainer_mod
-        from repro.core import fedclassavg as fca_mod
 
         clients, _ = micro_federation
         algo = FedClassAvg(clients, rho=0.1, seed=0, fault_injector=FaultInjector(0.5, seed=3))
 
         # give every client a distinctive, known "loss"
         fake_losses = {c.client_id: float(10 + c.client_id) for c in clients}
-        monkeypatch.setattr(
-            fca_mod, "local_update", lambda client, *a, **k: fake_losses[client.client_id]
-        )
         monkeypatch.setattr(
             trainer_mod, "local_update", lambda client, *a, **k: fake_losses[client.client_id]
         )

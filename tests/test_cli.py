@@ -47,6 +47,38 @@ class TestMain:
         assert "final accuracy" in out
         assert "communication" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--checkpoint", "/tmp/server.ckpt"],
+            ["--resume", "/tmp/server.ckpt"],
+            ["--supervise"],
+            ["--chaos", '{"seed": 1, "disconnect_p": 0.1}'],
+        ],
+    )
+    def test_sim_rejects_flags_that_need_worker_processes(self, flags, capsys):
+        assert main(["--clients", "3", "--rounds", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "--transport tcp" in err
+
+    def test_quorum_flags_take_effect_in_process(self):
+        """Two of three clients upload NaN bombs: with --quorum 1.0 the
+        firewall's rejections are a quorum miss on the sim path too."""
+        from repro.federated.quorum import QuorumError
+
+        argv = [
+            "--clients", "3", "--rounds", "1",
+            "--adversaries", '{"seed": 7, "clients": {"1": "nan_bomb", "2": "nan_bomb"}}',
+            "--quorum", "1.0", "--on-quorum-miss", "abort",
+        ]
+        with pytest.raises(QuorumError, match="quorum requires 3"):
+            main(argv)
+
+    def test_quorum_needs_fedclassavg(self, capsys):
+        argv = ["--algorithm", "fedavg", "--homogeneous", "cnn2layer", "--quorum", "0.5"]
+        assert main(argv) == 2
+        assert "--quorum" in capsys.readouterr().err
+
     def test_micro_homogeneous_run(self, capsys):
         rc = main(
             [
