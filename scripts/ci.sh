@@ -3,8 +3,9 @@
 # chaos/crash-resume smokes + telemetry overhead budget.
 #
 #   scripts/ci.sh            # full run
-#   scripts/ci.sh --fast     # one-engine guard + placement properties +
-#                            # tier-1 tests only (skip smoke + bench)
+#   scripts/ci.sh --fast     # one-engine guard + precision closure +
+#                            # placement properties + tier-1 tests only
+#                            # (skip smoke + bench)
 #
 # The TCP smoke runs the same 2-round federation through both transports
 # and requires the saved global classifiers to be byte-identical — the
@@ -32,6 +33,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+# A GEMM's rounding depends on the BLAS thread count, and the launcher gives
+# each worker cores // workers threads (an exported value wins): pin both
+# sides of every tcp-vs-sim `cmp` below to the same count.
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}"
+export OMP_NUM_THREADS="${OMP_NUM_THREADS:-1}"
+export MKL_NUM_THREADS="${MKL_NUM_THREADS:-1}"
 
 echo "== one engine =="
 # seconds: the round exists once.  Each of these is a step of the round
@@ -61,6 +68,15 @@ UPWARD="$(grep -rn 'repro\.net' src/repro/{federated,core,comm,algorithms} || tr
 [[ -z "$UPWARD" ]] || { echo "FAIL: net -> federated must stay one-way: $UPWARD"; exit 1; }
 echo "one round loop, one server half, one client half; net -> federated is one-way"
 echo "source lines: $(find src -name '*.py' | xargs cat | wc -l)"
+
+echo "== precision: closed both ways =="
+# seconds, no process spawned: every op returns the dtype it is given, a
+# build_federation client stays in its data's dtype through a whole step,
+# and a hand-built float64 model still trains to the recorded bytes.  A
+# leak costs 2x the bytes moved and shows in no other test; a float64
+# drift moves every digest below.
+python -m pytest -x -q tests/tensor/test_dtype_closure.py \
+    tests/federated/test_client_precision.py tests/federated/test_float64_path.py
 
 echo "== placement properties =="
 # seconds, no process spawned: a broken client->worker placement rule fails

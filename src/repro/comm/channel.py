@@ -27,11 +27,13 @@ __all__ = ["SimComm", "payload_nbytes", "to_wire"]
 
 
 def to_wire(state: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Cast a state dict to the fp32 wire format.
+    """A state dict as the paper's Table 5 counts it: float32 on the wire.
 
-    The engine computes in float64 for gradcheck headroom, but weights
-    cross the network as float32 — the dtype PyTorch state_dicts use, and
-    the basis of the paper's Table 5 byte counts.
+    That is the dtype PyTorch state_dicts use.  A federated client's
+    weights — and the global classifier FedClassAvg broadcasts — already
+    are float32, so for them this returns what it was given; it still
+    casts what is reduced in float64 (FedProto's prototype sums, a
+    hand-built float64 model) so every algorithm is counted alike.
     """
     return {k: v.astype(np.float32) if v.dtype == np.float64 else v for k, v in state.items()}
 

@@ -37,6 +37,17 @@ from repro.federated.trainer import LocalUpdateConfig
 __all__ = ["FedClassAvg", "initial_average"]
 
 
+def _rounded_like(
+    state: dict[str, np.ndarray], template: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """``state`` with each entry rounded once to the dtype ``template`` holds it in.
+
+    Aggregators reduce in float64; the global classifier is what clients
+    hold, so it is kept — and broadcast — in their dtype.
+    """
+    return {k: v.astype(template[k].dtype, copy=False) for k, v in state.items()}
+
+
 def initial_average(
     states: list[dict[str, np.ndarray]], weights: list[float]
 ) -> dict[str, np.ndarray]:
@@ -45,7 +56,7 @@ def initial_average(
     A NaN-initialized client contributes nothing to the symmetric
     starting point — it is excluded rather than refusing to start.
     """
-    return weighted_average_state(*drop_nonfinite_states(states, weights))
+    return _rounded_like(weighted_average_state(*drop_nonfinite_states(states, weights)), states[0])
 
 
 class FedClassAvg(FederatedAlgorithm):
@@ -174,10 +185,13 @@ class FedClassAvg(FederatedAlgorithm):
         agg0 = time.perf_counter()
         if survivors and not skipped:
             # Eq. 3 over the admitted subset, in client-id order
-            self.global_state = self.aggregator(
-                [admitted[k][1] for k in survivors],
-                [int(admitted[k][0]["data_size"]) for k in survivors],
-                reference=reference,
+            self.global_state = _rounded_like(
+                self.aggregator(
+                    [admitted[k][1] for k in survivors],
+                    [int(admitted[k][0]["data_size"]) for k in survivors],
+                    reference=reference,
+                ),
+                reference,
             )
         phase["aggregate_s"] = time.perf_counter() - agg0
 

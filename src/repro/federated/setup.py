@@ -67,6 +67,20 @@ def _resolve(spec: FederationSpec) -> tuple:
     return train, test, parts, archs
 
 
+def _client_model(train, spec: FederationSpec, arch: str, rng: np.random.Generator, **overrides):
+    """A client's model, in the precision of the data it trains on.
+
+    Initialisers draw from the float64 stream of ``rng`` and are rounded
+    once here; every op returns the dtype it is given, so this cast is what
+    makes a federated client a float32 model over float32 images.
+    """
+    model = build_model(
+        arch, in_channels=train.in_channels, num_classes=train.num_classes,
+        scale=spec.scale, rng=rng, **overrides,
+    )
+    return model.astype(train.images.dtype)
+
+
 def client_costs(spec: FederationSpec) -> list[int]:
     """Relative cost of one local epoch per client — a pure function of ``spec``.
 
@@ -81,9 +95,8 @@ def client_costs(spec: FederationSpec) -> list[int]:
     prof.activate()
     try:
         for arch in dict.fromkeys(archs):
-            model = build_model(
-                arch, in_channels=train.in_channels, num_classes=train.num_classes,
-                scale=spec.scale, rng=np.random.default_rng(0),
+            model = _client_model(
+                train, spec, arch, np.random.default_rng(0),
                 **(spec.model_overrides or {}).get(arch, {}),
             )
             model.eval()
@@ -128,14 +141,7 @@ def build_federation(
         overrides = spec.model_overrides.get(archs[k], {}) if spec.model_overrides else {}
         per_client_overrides = spec.model_overrides.get(k, {}) if spec.model_overrides else {}
         merged = {**overrides, **per_client_overrides}
-        model = build_model(
-            archs[k],
-            in_channels=train.in_channels,
-            num_classes=train.num_classes,
-            scale=spec.scale,
-            rng=model_rng,
-            **merged,
-        )
+        model = _client_model(train, spec, archs[k], model_rng, **merged)
         test_idx = matching_test_indices(
             train.labels, parts[k], test.labels, spec.test_per_client, seed=spec.seed + k
         )

@@ -10,6 +10,24 @@ from repro.telemetry.opprof import profiled_op
 __all__ = ["cross_entropy", "nll_loss", "kl_divergence", "soft_cross_entropy"]
 
 
+def _pick_labels(log_probs: Tensor, targets: np.ndarray) -> Tensor:
+    """``log_probs[i, targets[i]]`` for every row ``i``.
+
+    One entry per row, so no entry is picked twice and the backward pass
+    assigns into zeros — the general advanced index of ``getitem`` would
+    pay a ``np.add.at`` scatter for repeats that cannot occur here.
+    """
+    shape = log_probs.data.shape
+    rows = np.arange(shape[0])
+
+    def backward(grad):
+        g = np.zeros(shape, dtype=grad.dtype)
+        g[rows, targets] = grad
+        return (g,)
+
+    return Tensor._make(log_probs.data[rows, targets], (log_probs,), backward)
+
+
 @profiled_op("cross_entropy", backward=False)
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy between ``logits`` (N, C) and integer ``targets`` (N,)."""
@@ -18,17 +36,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     n = logits.shape[0]
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} does not match batch {n}")
-    log_probs = log_softmax(logits, axis=-1)
-    picked = log_probs[np.arange(n), targets]
-    return -picked.mean()
+    return -_pick_labels(log_softmax(logits, axis=-1), targets).mean()
 
 
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """Negative log-likelihood on already-log-softmaxed inputs."""
     log_probs = as_tensor(log_probs)
     targets = np.asarray(targets, dtype=np.int64)
-    n = log_probs.shape[0]
-    return -log_probs[np.arange(n), targets].mean()
+    if targets.shape != log_probs.shape[:1]:
+        raise ValueError(f"targets shape {targets.shape} does not match batch {log_probs.shape[0]}")
+    return -_pick_labels(log_probs, targets).mean()
 
 
 def kl_divergence(student_logits: Tensor, teacher_probs: np.ndarray, temperature: float = 1.0) -> Tensor:
@@ -40,7 +57,7 @@ def kl_divergence(student_logits: Tensor, teacher_probs: np.ndarray, temperature
     comparable across temperatures.
     """
     student_logits = as_tensor(student_logits)
-    t = np.asarray(teacher_probs, dtype=np.float64)
+    t = np.asarray(teacher_probs, dtype=student_logits.dtype)
     t = np.clip(t, 1e-12, 1.0)
     log_s = log_softmax(student_logits * (1.0 / temperature), axis=-1)
     # Σ t log t is constant; keep it so the loss is a true KL (≥ 0).
@@ -52,7 +69,7 @@ def kl_divergence(student_logits: Tensor, teacher_probs: np.ndarray, temperature
 def soft_cross_entropy(student_logits: Tensor, teacher_probs: np.ndarray, temperature: float = 1.0) -> Tensor:
     """Cross-entropy against soft targets (KL without the constant entropy term)."""
     student_logits = as_tensor(student_logits)
-    t = np.asarray(teacher_probs, dtype=np.float64)
+    t = np.asarray(teacher_probs, dtype=student_logits.dtype)
     log_s = log_softmax(student_logits * (1.0 / temperature), axis=-1)
     return -(Tensor(t) * log_s).sum(axis=-1).mean() * (temperature**2)
 

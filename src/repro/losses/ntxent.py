@@ -39,11 +39,11 @@ def ntxent_loss(features_a: Tensor, features_b: Tensor, temperature: float = 0.5
     logits = sim - Tensor(row_max)
 
     eye = np.eye(m, dtype=bool)
-    neg_mask = (~eye).astype(np.float64)
+    neg_mask = (~eye).astype(z.dtype)
 
     # positive index of anchor i is i+n (mod 2n)
     pos_idx = (np.arange(m) + n) % m
-    pos_mask = np.zeros((m, m))
+    pos_mask = np.zeros((m, m), dtype=z.dtype)
     pos_mask[np.arange(m), pos_idx] = 1.0
 
     exp_logits = exp(logits) * Tensor(neg_mask)

@@ -50,8 +50,8 @@ def prototype_loss(features: Tensor, labels: np.ndarray, global_protos: dict[int
     features = as_tensor(features)
     labels = np.asarray(labels).reshape(-1)
     n, d = features.shape
-    targets = np.zeros((n, d))
-    mask = np.zeros((n, 1))
+    targets = np.zeros((n, d), dtype=features.dtype)
+    mask = np.zeros((n, 1), dtype=features.dtype)
     for i, c in enumerate(labels):
         proto = global_protos.get(int(c))
         if proto is not None:

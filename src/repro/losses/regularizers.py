@@ -45,7 +45,7 @@ def proximal_l2(params, reference: dict[str, np.ndarray] | list[np.ndarray], squ
     if len(refs) != len(tensors):
         raise ValueError("reference count does not match parameter count")
     for p, r in zip(tensors, refs):
-        diff = p - Tensor(np.asarray(r))
+        diff = p - Tensor(np.asarray(r, dtype=p.dtype))
         pairs.append((diff * diff).sum().reshape(1))
     total = concat(pairs, axis=0).sum()
     if squared:

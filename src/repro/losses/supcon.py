@@ -62,10 +62,12 @@ def supcon_loss(
     row_max = sim.data.max(axis=1, keepdims=True)
     logits = sim - Tensor(row_max)
 
+    # masks and per-anchor constants are built in the features' dtype
+    dtype = z.dtype
     eye = np.eye(m, dtype=bool)
-    logits_mask = (~eye).astype(np.float64)  # exclude self-contrast
+    logits_mask = (~eye).astype(dtype)  # exclude self-contrast
     pos_mask = (y[:, None] == y[None, :]) & ~eye
-    pos_mask_f = pos_mask.astype(np.float64)
+    pos_mask_f = pos_mask.astype(dtype)
     pos_counts = pos_mask_f.sum(axis=1)
 
     exp_logits = exp(logits) * Tensor(logits_mask)
@@ -77,7 +79,7 @@ def supcon_loss(
     mean_log_prob_pos = (Tensor(pos_mask_f) * log_prob).sum(axis=1) * Tensor(1.0 / safe_counts)
 
     # Average over anchors that actually have positives.
-    has_pos = (pos_counts > 0).astype(np.float64)
+    has_pos = (pos_counts > 0).astype(dtype)
     denom = max(1.0, float(has_pos.sum()))
     loss = -(mean_log_prob_pos * Tensor(has_pos)).sum() * (1.0 / denom)
     return loss

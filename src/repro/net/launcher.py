@@ -80,11 +80,16 @@ def rank_telemetry_path(base: str, rank: int) -> str:
     return f"{stem}.rank{rank}{ext or '.jsonl'}"
 
 
-def _worker_env() -> dict:
-    """Child env with ``repro``'s parent directory on PYTHONPATH.
+def _worker_env(workers: int) -> dict:
+    """Child env: ``repro``'s parent directory on PYTHONPATH, BLAS threads shared out.
 
     The launcher may run from any CWD (pytest tmpdirs, CI checkouts);
     the children must import the same ``repro`` we are running.
+
+    ``workers`` processes each starting a BLAS pool as wide as the machine
+    oversubscribe it (4 workers x 2 threads on 2 cores ran 3x slower than
+    pinned), so each child gets ``cores // workers`` threads, at least
+    one.  A value the user exported wins.
     """
     import repro
 
@@ -92,6 +97,9 @@ def _worker_env() -> dict:
     pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = pkg_parent + (os.pathsep + existing if existing else "")
+    threads = str(max(1, (os.cpu_count() or 1) // max(1, workers)))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, threads)
     return env
 
 
@@ -126,7 +134,7 @@ def launch_workers(
     writes ``rank_telemetry_path(telemetry_base, i + 1)``.
     """
     procs = []
-    env = _worker_env()
+    env = _worker_env(len(assignment))
     for i, ids in enumerate(assignment):
         extra = list(common_flags or []) + (chaos or {}).get(i, [])
         if telemetry_base is not None:
@@ -286,7 +294,7 @@ def run_tcp_federation(
     supervisor = None
     if supervise and procs:
         supervisor = WorkerSupervisor(max_restarts=max_restarts, seed=seed, verbose=verbose)
-        env = _worker_env()
+        env = _worker_env(len(assignment))
         for i, (proc, ids) in enumerate(zip(procs, assignment)):
             # respawn commands re-admit via REJOIN and deliberately drop
             # the per-worker one-shot failure hooks (--die-at-round would

@@ -30,5 +30,6 @@ class Dropout(Module):
             return x
         rng = self.rng or get_rng()
         keep = 1.0 - self.p
-        mask = (rng.random(x.shape) < keep) / keep
+        mask = (rng.random(x.shape) < keep).astype(x.dtype)
+        mask /= keep
         return x * Tensor(mask)

@@ -123,7 +123,10 @@ class Module:
             for buf_name in list(mod._buffers):
                 full = f"{mod_name}.{buf_name}" if mod_name else buf_name
                 if full in state:
-                    mod._set_buffer(buf_name, np.asarray(state[full]).copy())
+                    # like a parameter, a buffer keeps the dtype the module holds it in
+                    mod._set_buffer(
+                        buf_name, np.array(state[full], dtype=mod._buffers[buf_name].dtype)
+                    )
                     seen.add(full)
                 elif strict:
                     raise KeyError(f"missing buffer in state dict: {full}")
@@ -147,6 +150,26 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter and float buffer to ``dtype`` in place.
+
+        Only ``.data`` is swapped: each :class:`Parameter` object keeps its
+        identity, so an optimizer built before the cast still steps the
+        right arrays (its moments are allocated like ``p.data`` on the
+        first step).  Integer buffers keep their dtype; stale gradients
+        are dropped.  The ops return the dtype they are given, so this is
+        what decides the precision a model trains in.
+        """
+        dtype = np.dtype(dtype)
+        for p in self.parameters():
+            p.data = p.data.astype(dtype, copy=False)
+            p.grad = None
+        for mod in self.modules():
+            for name, buf in list(mod._buffers.items()):
+                if buf.dtype.kind == "f":
+                    mod._set_buffer(name, buf.astype(dtype, copy=False))
+        return self
 
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())

@@ -334,7 +334,7 @@ def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
         gx = np.zeros(in_shape, dtype=grad.dtype)
         for i in range(s):
             for j in range(s):
-                count = (h_ends[i] - h_starts[i]) * (w_ends[j] - w_starts[j])
+                count = int((h_ends[i] - h_starts[i]) * (w_ends[j] - w_starts[j]))
                 gx[:, :, h_starts[i] : h_ends[i], w_starts[j] : w_ends[j]] += (
                     grad[:, :, i : i + 1, j : j + 1] / count
                 )

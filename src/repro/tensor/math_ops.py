@@ -28,6 +28,15 @@ __all__ = [
 ]
 
 
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors; a scalar beside a tensor takes its dtype (see ``as_tensor``)."""
+    if isinstance(a, Tensor):
+        return a, as_tensor(b, like=a)
+    if isinstance(b, Tensor):
+        return as_tensor(a, like=b), b
+    return as_tensor(a), as_tensor(b)
+
+
 def exp(x: Tensor) -> Tensor:
     """Elementwise e^x."""
     x = as_tensor(x)
@@ -109,7 +118,7 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     out_data = np.where(mask, x.data, negative_slope * x.data)
 
     def backward(grad):
-        return (grad * np.where(mask, 1.0, negative_slope),)
+        return (np.where(mask, grad, negative_slope * grad),)
 
     return Tensor._make(out_data, (x,), backward)
 
@@ -138,7 +147,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties send the full gradient to ``a``."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     take_a = a.data >= b.data
     out_data = np.where(take_a, a.data, b.data)
     a_shape, b_shape = a.data.shape, b.data.shape
@@ -154,7 +163,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; ties send the full gradient to ``a``."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     take_a = a.data <= b.data
     out_data = np.where(take_a, a.data, b.data)
     a_shape, b_shape = a.data.shape, b.data.shape
@@ -170,7 +179,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
 
 def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable select on a boolean (non-differentiable) condition."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _pair(a, b)
     cond = np.asarray(cond, dtype=bool)
     out_data = np.where(cond, a.data, b.data)
     a_shape, b_shape = a.data.shape, b.data.shape

@@ -72,7 +72,7 @@ def max_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     in_shape = x.data.shape
     expanded = _restore_dims(out_data, in_shape, axis, keepdims)
     mask = x.data == expanded
-    counts = mask.sum(axis=axis, keepdims=True)
+    counts = mask.sum(axis=axis, keepdims=True, dtype=x.data.dtype)
 
     def backward(grad):
         g = _restore_dims(grad, in_shape, axis, keepdims)

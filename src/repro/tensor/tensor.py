@@ -60,7 +60,9 @@ class Tensor:
 
     # __weakref__ lets the memory profiler observe frees without keeping
     # tensors alive (weakref.finalize needs a referenceable instance)
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "__weakref__")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_prev", "name", "_owns_grad", "__weakref__"
+    )
 
     default_dtype = np.float64
 
@@ -70,6 +72,7 @@ class Tensor:
             arr = arr.astype(self.default_dtype)
         self.data = arr
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self._backward = None
         self._prev: tuple = ()
@@ -139,10 +142,21 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add one consumer's gradient; nothing is copied or cast here.
+
+        The first contribution is kept by reference — a closure may hand
+        the same array to several parents, so it is never written to.  A
+        second one allocates the sum, which this tensor then owns and
+        adds later contributions into.
+        """
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-        else:
+            self.grad = grad
+            self._owns_grad = False
+        elif self._owns_grad:
             self.grad += grad
+        else:
+            self.grad = self.grad + grad
+            self._owns_grad = True
 
     # ------------------------------------------------------------------
     # backward pass
@@ -206,7 +220,7 @@ class Tensor:
     # arithmetic ops (each builds a tape node)
     # ------------------------------------------------------------------
     def __add__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out_data = self.data + other.data
 
         def backward(grad):
@@ -226,7 +240,7 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out_data = self.data - other.data
 
         def backward(grad):
@@ -238,10 +252,10 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other):
-        return as_tensor(other) - self
+        return as_tensor(other, like=self) - self
 
     def __mul__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out_data = self.data * other.data
         a_data, b_data = self.data, other.data
 
@@ -256,7 +270,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out_data = self.data / other.data
         a_data, b_data = self.data, other.data
 
@@ -269,7 +283,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other):
-        return as_tensor(other) / self
+        return as_tensor(other, like=self) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -284,7 +298,7 @@ class Tensor:
 
     @profiled_op("matmul")
     def __matmul__(self, other):
-        other = as_tensor(other)
+        other = as_tensor(other, like=self)
         out_data = self.data @ other.data
         a_data, b_data = self.data, other.data
 
@@ -325,6 +339,17 @@ def _raw(x):
     return x.data if isinstance(x, Tensor) else x
 
 
-def as_tensor(x) -> Tensor:
-    """Coerce ``x`` to a :class:`Tensor` (no copy when already one)."""
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """Coerce ``x`` to a :class:`Tensor` (no copy when already one).
+
+    ``like`` is the tensor ``x`` is about to be combined with.  A Python
+    scalar or an integer/boolean array carries no precision of its own, so
+    it takes ``like``'s dtype: ``x * 0.5`` and ``x + 1`` return ``x.dtype``
+    (left to NumPy, the 0-d float64 array a scalar becomes would promote a
+    float32 ``x``).  A float array keeps the dtype it was given.
+    """
+    if isinstance(x, Tensor):
+        return x
+    if like is not None and (isinstance(x, (int, float)) or np.asarray(x).dtype.kind in "iub"):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.federated import FederationSpec, build_federation
-from repro.utils.rng import seed_all
+# A GEMM's rounding depends on how many threads BLAS splits it over, and the
+# TCP launcher gives each worker ``cores // workers`` threads.  Every
+# "tcp == sim, bit for bit" test compares workers with this process, so this
+# process is pinned the same way — before NumPy loads its BLAS; an exported
+# value wins here as it does in the launcher.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.federated import FederationSpec, build_federation  # noqa: E402
+from repro.utils.rng import seed_all  # noqa: E402
 
 
 @pytest.fixture

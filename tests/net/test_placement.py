@@ -8,6 +8,7 @@ ownership map gives the same classifier" property lives in
 ``test_placement_invariance.py``.
 """
 
+import os
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.config import tiny_preset
 from repro.federated import FederationSpec, client_costs
-from repro.net.launcher import assign_clients, place_clients
+from repro.net.launcher import _worker_env, assign_clients, place_clients
 from repro.telemetry.memprof import MemoryProfiler, active_memprof
 
 costs_lists = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=40)
@@ -160,3 +161,33 @@ class TestPlaceClients:
         assert place_clients(spec, 2) == place_clients(dict(spec), 2)
         # each worker holds one client of every architecture
         assert [sorted(k % 4 for k in g) for g in place_clients(spec, 2)] == [[0, 1, 2, 3]] * 2
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestWorkerEnv:
+    """Workers share the cores out instead of each starting a machine-wide BLAS pool."""
+
+    @pytest.mark.parametrize("cores,workers,threads", [(2, 4, "1"), (2, 2, "1"), (8, 2, "4"), (8, 3, "2")])
+    def test_threads_are_cores_over_workers_at_least_one(self, monkeypatch, cores, workers, threads):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        env = _worker_env(workers)
+        assert [env[var] for var in BLAS_VARS] == [threads] * 3
+
+    def test_an_exported_value_wins(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        env = _worker_env(4)
+        assert env["OPENBLAS_NUM_THREADS"] == "7"
+        assert env["OMP_NUM_THREADS"] == env["MKL_NUM_THREADS"] == "1"
+
+    def test_children_import_this_repro(self):
+        import repro
+
+        first = _worker_env(1)["PYTHONPATH"].split(os.pathsep)[0]
+        assert os.path.samefile(os.path.join(first, "repro"), os.path.dirname(repro.__file__))

@@ -55,6 +55,20 @@ class TestStateDict:
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
         assert np.allclose(m1(x).data, m2(x).data)
 
+    def test_load_keeps_the_modules_dtype(self):
+        """A float64 average loaded into a float32 model leaves it float32, buffers included."""
+        source = nn.Sequential(nn.Conv2d(1, 2, 3), nn.BatchNorm2d(2))
+        target = nn.Sequential(nn.Conv2d(1, 2, 3), nn.BatchNorm2d(2)).astype(np.float32)
+        state = source.state_dict()
+        assert {v.dtype for k, v in state.items() if "tracked" not in k} == {np.dtype(np.float64)}
+        target.load_state_dict(state)
+        loaded = target.state_dict()
+        assert {v.dtype for k, v in loaded.items() if "tracked" not in k} == {np.dtype(np.float32)}
+        assert loaded["1.num_batches_tracked"].dtype == np.int64
+        assert all(np.array_equal(loaded[k], state[k].astype(loaded[k].dtype)) for k in state)
+        state["1.running_mean"][...] = 7.0  # the module holds its own copy
+        assert not np.any(target.state_dict()["1.running_mean"] == 7.0)
+
     def test_state_dict_copies(self):
         m = nn.Linear(2, 2)
         sd = m.state_dict()

@@ -335,6 +335,9 @@ def _bn_fn(training):
         layer._set_buffer("running_mean", np.array([0.3, -0.2]))
         layer._set_buffer("running_var", np.array([0.8, 1.7]))
         layer.weight, layer.bias = w, b
+        # the hand-set buffers follow the precision under test (a no-op for
+        # ``w``/``b``, which already have it); mixed inputs would promote
+        layer.astype(x.dtype)
         return (layer(x) ** 2).sum()
 
     return fn
@@ -372,3 +375,59 @@ class TestFiniteDifferences:
     def test_float32(self, name):
         fn, arrays = GRAD_CASES[name]
         assert _gradcheck32(fn, arrays)
+
+
+@pytest.mark.parametrize("arch", ["resnet18", "shufflenetv2", "googlenet", "alexnet"])
+class TestModuleAstype:
+    """``Module.astype``: the float32 model is its float64 original, rounded once."""
+
+    @staticmethod
+    def _model(arch):
+        from repro.models import build_model
+
+        return build_model(arch, in_channels=3, num_classes=5, scale="tiny", rng=np.random.default_rng(4))
+
+    def test_float32_model_tracks_its_float64_original(self, arch):
+        images = np.random.default_rng(0).random((6, 3, 16, 16)).astype(np.float32)
+        original, cast = self._model(arch).eval(), self._model(arch).astype(np.float32).eval()
+        runs = []
+        for dtype, model in ((np.float64, original), (np.float32, cast)):
+            out = model(Tensor(images))
+            assert out.dtype == dtype
+            (out**2).sum().backward()
+            runs.append((out.data, dict(model.classifier.named_parameters())))
+        (want, want_p), (got, got_p) = runs
+        assert _close(got, want, np.float32, BN_GRAD_TOL)
+        for key, p in got_p.items():
+            assert p.grad.dtype == np.float32
+            assert _close(p.grad, want_p[key].grad, np.float32, BN_GRAD_TOL)
+
+    def test_round_trip_keeps_every_parameter_object(self, arch):
+        from repro.optim import Adam
+
+        model = self._model(arch)
+        params = model.parameters()
+        opt = Adam(params, lr=1e-2)  # built before the cast
+        rounded = {n: p.data.astype(np.float32) for n, p in model.named_parameters()}
+
+        assert model.astype(np.float32) is model
+        assert all(a is b for a, b in zip(params, model.parameters()))
+        assert {p.dtype for p in params} == {np.dtype(np.float32)}
+        assert all(np.array_equal(p.data, rounded[n]) for n, p in model.named_parameters())
+        for name, buf in model.named_buffers():
+            assert buf.dtype == (np.int64 if name.endswith("num_batches_tracked") else np.float32)
+
+        # the optimizer steps the arrays the model now computes with
+        x = Tensor(np.random.default_rng(1).random((4, 3, 16, 16)).astype(np.float32))
+        (model(x) ** 2).sum().backward()
+        opt.step()
+        assert any(not np.array_equal(p.data, rounded[n]) for n, p in model.named_parameters())
+        assert {m.dtype for m in opt._m + opt._v if m is not None} == {np.dtype(np.float32)}
+
+        stepped = {n: p.data.copy() for n, p in model.named_parameters()}
+        model.astype(np.float64)
+        assert all(a is b for a, b in zip(params, model.parameters()))
+        assert {p.dtype for p in params} == {np.dtype(np.float64)}
+        # float32 -> float64 is exact, and a cast drops stale gradients
+        assert all(np.array_equal(p.data, stepped[n]) for n, p in model.named_parameters())
+        assert all(p.grad is None for p in params)

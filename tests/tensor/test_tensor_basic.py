@@ -162,3 +162,81 @@ class TestComparisons:
     def test_comparison_with_scalar(self):
         a = Tensor([1.0, 3.0])
         assert np.array_equal(a > 2.0, [False, True])
+
+
+def _copying_accumulate(self, grad):
+    """``Tensor._accumulate`` as it was: copy the first gradient, add the rest in place."""
+    if self.grad is None:
+        self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+    else:
+        self.grad += grad
+
+
+class TestAccumulateKeepsReferences:
+    """The first gradient is kept by reference, so it must never be written to.
+
+    Closures hand the *same* array to several parents (``__add__`` returns
+    ``grad`` itself to both), which is where an in-place add on a borrowed
+    array would corrupt a sibling.  Each graph is run under the copying
+    implementation too, and must match it bit for bit in float64.
+    """
+
+    GRAPHS = {
+        "x + x": lambda x, w: (x + x).sum(),
+        "one node, three consumers": lambda x, w: ((h := x * 2.0) + h * h - h / 3.0).sum(),
+        "same array to both parents, one of them twice": lambda x, w: ((x + w) + x).sum(),
+        "residual over a reshape view": lambda x, w: (x.reshape(-1) + x.transpose().reshape(-1)).sum(),
+        "four consumers of a leaf": lambda x, w: (x * w + x - w * x + x @ w).sum(),
+    }
+
+    @staticmethod
+    def _grads(fn, seed, accumulate=None, monkeypatch=None):
+        if accumulate is not None:
+            monkeypatch.setattr(Tensor, "_accumulate", accumulate)
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        fn(x, w).backward()
+        return x.grad, w.grad
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_the_copying_implementation_bit_for_bit(self, name, monkeypatch):
+        fn = self.GRAPHS[name]
+        got = self._grads(fn, 3)
+        want = self._grads(fn, 3, _copying_accumulate, monkeypatch)
+        for ours, theirs in zip(got, want):
+            if theirs is None:
+                assert ours is None
+            else:
+                assert ours.dtype == np.float64 and ours.tobytes() == theirs.tobytes()
+
+    def test_x_plus_x_is_two(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        (x + x).sum().backward()
+        assert x.grad.tolist() == [2.0, 2.0, 2.0]
+
+    def test_a_parameter_reused_by_two_layers(self, monkeypatch):
+        from repro import nn
+        from repro.nn.module import Parameter
+
+        def grads(accumulate=None):
+            if accumulate is not None:
+                monkeypatch.setattr(Tensor, "_accumulate", accumulate)
+            rng = np.random.default_rng(5)
+            first, second = nn.Linear(4, 4, rng=rng), nn.Linear(4, 4, rng=rng)
+            second.weight = first.weight  # tied weights
+            x = Tensor(rng.normal(size=(3, 4)))
+            (second(first(x).relu()) ** 2).sum().backward()
+            assert isinstance(first.weight, Parameter) and second.weight is first.weight
+            return first.weight.grad, first.bias.grad, second.bias.grad
+
+        got, want = grads(), grads(_copying_accumulate)
+        assert [g.tobytes() for g in got] == [np.ascontiguousarray(g).tobytes() for g in want]
+
+    def test_the_seed_gradient_is_not_written_to(self):
+        seed = np.ones((2, 2))
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        y = x + 0.0
+        (y + y * 2.0).backward(seed)
+        assert seed.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert x.grad.tolist() == [[3.0, 3.0], [3.0, 3.0]]

@@ -233,11 +233,21 @@ class TestDeepDiveFlags:
     def test_memprof_and_record_run(self, tmp_path, capsys):
         """One telemetered run with both deep-dive flags: the memory
         summary prints, and the (healthy) run arms but never trips the
-        flight recorder."""
+        flight recorder.
+
+        Two clients, not three: the first client of a cold process pays
+        every first-touch cost (a cold run read 1.008 s against 0.088 s and
+        0.256 s), which is a ``straggler`` alert once the detector has the
+        three timed clients its median needs — a fact about the wall clock,
+        not about the run.  Below ``min_clients`` it stays silent, so "no
+        alerts" here depends on nothing that is timed."""
+        from repro.telemetry.health import StragglerDetector
+
+        assert StragglerDetector().min_clients > 2
         rc = main(
             [
                 "--clients",
-                "3",
+                "2",
                 "--rounds",
                 "1",
                 "--dataset",
