@@ -4,8 +4,9 @@
 #
 #   scripts/ci.sh            # full run
 #   scripts/ci.sh --fast     # one-engine guard + precision closure +
-#                            # placement properties + tier-1 tests only
-#                            # (skip smoke + bench)
+#                            # placement properties + baseline/engine
+#                            # equivalence + tier-1 tests only (skip
+#                            # smoke + bench)
 #
 # The TCP smoke runs the same 2-round federation through both transports
 # and requires the saved global classifiers to be byte-identical — the
@@ -66,6 +67,24 @@ grep -q '__getattr__' src/repro/net/__init__.py \
     && { echo "FAIL: repro.net lazy loader is back"; exit 1; }
 UPWARD="$(grep -rn 'repro\.net' src/repro/{federated,core,comm,algorithms} || true)"
 [[ -z "$UPWARD" ]] || { echo "FAIL: net -> federated must stay one-way: $UPWARD"; exit 1; }
+# FedAvg / FedProx / FedBN / FedPer / FedRep are specs over that round
+# (algorithms/averaging.py).  A round loop, a collective, an Eq. 3 call or a
+# local_update call under algorithms/ outside the four methods that are not
+# an averaging round means one of their five deleted loops is back.
+only_in() { # only_in REGEX DIR FILE...: REGEX matches under DIR in no other file
+    local regex="$1" dir="$2" keep=() others
+    shift 2
+    for f in "$@"; do keep+=(-e "$f"); done
+    others="$(grep -rlE --include='*.py' -- "$regex" "$dir" | grep -v "${keep[@]}" || true)"
+    [[ -z "$others" ]] || { echo "FAIL: '$regex' outside $*: $others"; exit 1; }
+}
+only_in 'def round\(' src/repro/algorithms fedproto.py ktpfl.py async_fedclassavg.py local_only.py
+only_in 'local_update\(' src/repro/algorithms ktpfl.py local_only.py async_fedclassavg.py
+only_in 'weighted_average_state\(' src/repro/algorithms ktpfl.py
+only_in 'comm\.(bcast|gather)\(' src/repro federated/cohort.py algorithms/fedproto.py algorithms/ktpfl.py
+COLLECTIVES="$(grep -rnE 'comm\.(bcast|gather|scatter|send|recv)\(' src/repro/algorithms | wc -l)"
+[[ "$COLLECTIVES" -le 9 ]] \
+    || { echo "FAIL: $COLLECTIVES SimComm call sites under algorithms/ (want <= 9)"; exit 1; }
 echo "one round loop, one server half, one client half; net -> federated is one-way"
 echo "source lines: $(find src -name '*.py' | xargs cat | wc -l)"
 
@@ -82,6 +101,11 @@ echo "== placement properties =="
 # seconds, no process spawned: a broken client->worker placement rule fails
 # here, before tier-1 and every TCP smoke below launch workers on its groups
 python -m pytest -x -q tests/net/test_placement.py
+
+echo "== five baselines, one engine =="
+# seconds: each of the five against the hand-written round it replaced (bit
+# for bit on this box's BLAS) and against the digests recorded at the parent
+python -m tests.algorithms.test_engine_equivalence --fast
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests

@@ -1,13 +1,9 @@
 """Baseline federated algorithms compared against FedClassAvg."""
 
 from repro.algorithms.local_only import LocalOnly
-from repro.algorithms.fedavg import FedAvg
-from repro.algorithms.fedprox import FedProx
+from repro.algorithms.averaging import FedAvg, FedBN, FedPer, FedProx, FedRep
 from repro.algorithms.fedproto import FedProto
 from repro.algorithms.ktpfl import KTpFL
-from repro.algorithms.fedbn import FedBN
-from repro.algorithms.fedper import FedPer
-from repro.algorithms.fedrep import FedRep
 from repro.algorithms.async_fedclassavg import AsyncFedClassAvg
 
 __all__ = [

@@ -4,7 +4,7 @@ The paper ran 20 clients over MPICH across 15 GPU nodes; here the same
 message pattern (server rank 0 ⇄ client ranks) runs in-process through
 ``SimComm``, whose API mirrors the mpi4py idioms the hpc-parallel guides
 teach: lowercase ``send/recv`` for pickled Python objects plus
-collectives (``bcast``, ``gather``, ``scatter``, ``allreduce``).
+collectives (``bcast``, ``gather``, ``scatter``).
 
 Every transfer is measured through :func:`repro.utils.state_dict_to_bytes`
 (for state dicts) or pickle size (for generic objects), feeding the
@@ -139,10 +139,3 @@ class SimComm:
         for obj, dst in zip(objs, targets):
             self.send(obj, root, dst, tag=-3)
         return [self.recv(dst, src=root, tag=-3) for dst in targets]
-
-    def allreduce_sum(self, arrays: dict[int, np.ndarray]) -> np.ndarray:
-        """Sum-allreduce: gather at rank 0, reduce, broadcast the result."""
-        gathered = self.gather(arrays, root=0)
-        total = np.sum(gathered, axis=0)
-        self.bcast(total, root=0, ranks=sorted(arrays))
-        return total

@@ -18,6 +18,11 @@ ablation (CA / +PR / +CL / +PR,CL), and ``share_all_weights`` reproduces
 the homogeneous "+weight" rows of Table 3 where the whole model is
 averaged but proximal regularization still applies only to the
 classifier.
+
+What this round cannot know — which keys a client exchanges (``share``),
+its local objective (``local_objective``, ``local_step``) and what is scored
+(``scored_on``) — FedAvg, FedProx, FedBN, FedPer and FedRep state on
+subclasses (:mod:`repro.algorithms.averaging`) and run it unchanged.
 """
 
 from __future__ import annotations
@@ -72,6 +77,14 @@ class FedClassAvg(FederatedAlgorithm):
     """
 
     name = "fedclassavg"
+    #: which state-dict keys a client exchanges (``FederatedClient.shared_keys``);
+    #: ``share_all_weights=True`` is the constructor's spelling of ``"all"``
+    share = "classifier"
+    #: what is scored: the clients' ``"personal"`` models, or every client —
+    #: sampled or not — after the ``"aggregate"`` is pushed into its shared keys
+    scored_on = "personal"
+    #: what a client runs in place of ``local_update`` (FedRep: head, then body)
+    local_step = None
 
     def __init__(
         self,
@@ -112,32 +125,45 @@ class FedClassAvg(FederatedAlgorithm):
         #: optional minimum-participation gate on each round's aggregation
         self.quorum = quorum
         self.rejections: list[dict] = []
-        self.config = LocalUpdateConfig(
+        if share_all_weights:
+            self.share = "all"
+        if self.scored_on == "aggregate" and cohort is not None:
+            raise ValueError(
+                f"{self.name} scores every client with the aggregate pushed in — an "
+                "in-process push, not available over a remote cohort"
+            )
+        self.config = self.local_objective(
             use_contrastive=use_contrastive,
             use_proximal=use_proximal,
             rho=rho,
             temperature=temperature,
             contrastive=contrastive,
-            proximal_on="classifier",
         )
         self.global_state: dict[str, np.ndarray] | None = None
-        if share_all_weights and cohort is None:
-            archs = {c.model.arch for c in clients}
-            shapes = {tuple(sorted((k, v.shape) for k, v in c.model.state_dict().items())) for c in clients}
-            if len(archs) > 1 or len(shapes) > 1:
-                raise ValueError("share_all_weights requires homogeneous client models")
+        if self.share != "classifier" and cohort is None:
+            shapes = {
+                tuple(sorted((k, v.shape) for k, v in c.shared_state(self.share).items()))
+                for c in clients
+            }
+            if len(shapes) > 1:
+                raise ValueError(f"averaging {self.share!r} weights requires homogeneous clients")
         self.cohort: Cohort = cohort or InProcessCohort(
             clients,
             self.comm,
             self.config,
             local_epochs=local_epochs,
-            whole_model=share_all_weights,
+            share=self.share,
+            local_step=self.local_step,
             executor=executor,
             fault_injector=fault_injector,
             compressor=compressor,
             privacy=privacy,
             adversaries=adversaries,
         )
+
+    def local_objective(self, **terms) -> LocalUpdateConfig:
+        """The clients' local objective, from the constructor's loss ``terms`` (Eq. 4)."""
+        return LocalUpdateConfig(proximal_on="classifier", **terms)
 
     # ------------------------------------------------------------------
     def setup(self) -> None:
@@ -209,6 +235,9 @@ class FedClassAvg(FederatedAlgorithm):
             "rejected": rejected,
             "losses": losses,
         }
+        if self.scored_on == "aggregate":
+            for c in self.clients:
+                c.load_shared_state(self.global_state, self.share)
         return float(np.mean(reported)) if reported else 0.0
 
     def _admit(self, t: int, sampled: list[int], arrivals: dict):

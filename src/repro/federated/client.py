@@ -6,11 +6,22 @@ import numpy as np
 
 from repro.data.dataset import ArrayView
 from repro.data.loader import DataLoader
-from repro.models.split import SplitModel
+from repro.models.split import CLASSIFIER_PREFIX, SplitModel
+from repro.nn.norm import _BatchNorm
 from repro.optim import Adam, Optimizer
 from repro.tensor import Tensor, no_grad
 
-__all__ = ["FederatedClient"]
+__all__ = ["FederatedClient", "norm_keys"]
+
+
+def norm_keys(model: SplitModel) -> set[str]:
+    """State-dict keys owned by ``model``'s BatchNorm layers: affine parameters and statistics."""
+    return {
+        f"{mod_name}.{leaf}"
+        for mod_name, mod in model.named_modules()
+        if isinstance(mod, _BatchNorm)
+        for leaf in (*mod._parameters, *mod._buffers)
+    }
 
 
 class FederatedClient:
@@ -49,22 +60,55 @@ class FederatedClient:
         self.aug_rng = np.random.default_rng(aug_seq)
         factory = optimizer_factory or (lambda params: Adam(params, lr=lr))
         self.optimizer: Optimizer = factory(model.parameters())
+        self._shared_keys: dict[str, frozenset[str]] = {}
 
     @property
     def data_size(self) -> int:
         """|D_k| — the aggregation weight numerator in Eqs. (1)–(3)."""
         return len(self.train_labels)
 
-    def shared_state(self, whole_model: bool = False) -> dict[str, np.ndarray]:
-        """What this client exchanges with the server: ``C_k``, or the whole model."""
-        return self.model.state_dict() if whole_model else self.model.classifier_state()
+    def shared_keys(self, share: str = "classifier") -> frozenset[str]:
+        """The model's own state-dict keys this client exchanges (resolved once).
 
-    def load_shared_state(self, state: dict[str, np.ndarray], whole_model: bool = False) -> None:
-        """Adopt a broadcast: replace ``C_k`` (or the whole model) with ``state``."""
-        if whole_model:
-            self.model.load_state_dict(state)
-        else:
+        ``share`` is FedClassAvg's ``classifier``, the ``body`` beneath it
+        (FedPer, FedRep), ``all`` (FedAvg, the paper's "+weight" rows) or
+        FedBN's ``all_but_norm``.
+        """
+        if not self._shared_keys:
+            model = self.model
+            names = frozenset(n for n, _ in (*model.named_parameters(), *model.named_buffers()))
+            head = frozenset(n for n in names if n.startswith(CLASSIFIER_PREFIX))
+            self._shared_keys = {
+                "classifier": head,
+                "body": names - head,
+                "all": names,
+                "all_but_norm": names - norm_keys(model),
+            }
+        return self._shared_keys[share]
+
+    def shared_state(self, share: str = "classifier") -> dict[str, np.ndarray]:
+        """What this client uploads: ``C_k``, or the ``share`` subset of its state dict."""
+        if share == "classifier":
+            return self.model.classifier_state()
+        keys = self.shared_keys(share)
+        return {k: v for k, v in self.model.state_dict().items() if k in keys}
+
+    def load_shared_state(self, state: dict[str, np.ndarray], share: str = "classifier") -> None:
+        """Adopt a broadcast: ``state`` replaces the ``share`` subset of the model.
+
+        ``KeyError`` unless it holds exactly those keys — a partial load would
+        train on stale weights without a sign.
+        """
+        keys = self.shared_keys(share)
+        if state.keys() != keys:
+            raise KeyError(
+                f"client {self.client_id}: broadcast does not match its {share!r} keys — "
+                f"missing {sorted(keys - state.keys())}, unexpected {sorted(state.keys() - keys)}"
+            )
+        if share == "classifier":
             self.model.load_classifier_state(state)
+        else:
+            self.model.load_state_dict(state, strict=False)
 
     def train_loader(self) -> DataLoader:
         return DataLoader(

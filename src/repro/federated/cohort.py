@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -70,15 +70,18 @@ class InProcessCohort:
     and the ``compressor`` (repro.comm.compression), and ``fault_injector``
     decides which uploads never arrive — the in-process form of a missed
     deadline.  ``adversaries`` is an optional ``AdversarySchedule``
-    poisoning uploads at the client.  Every transfer is charged on
-    ``comm`` as the bytes its wire format would take.
+    poisoning uploads at the client.  ``share`` names the keys a client
+    exchanges (``FederatedClient.shared_keys``) and ``local_step``
+    what it runs in place of :func:`local_update`, if anything.  Every
+    transfer is charged on ``comm`` as the bytes its wire format would take.
     """
 
     clients: list[FederatedClient]
     comm: SimComm
     config: LocalUpdateConfig
     local_epochs: int = 1
-    whole_model: bool = False
+    share: str = "classifier"
+    local_step: Callable | None = None
     executor: object = None
     fault_injector: object = None
     compressor: object = None
@@ -94,17 +97,17 @@ class InProcessCohort:
         return self.comm.cost
 
     def initial_states(self) -> Arrivals:
-        """Every client's initial classifier — or one common whole model.
+        """Every client's initial classifier — or one common start for any wider share.
 
-        Whole-model mode starts every client from client 0's
-        initialization and reports only that: averaging independently
+        Beyond the classifier every client starts from client 0's shared
+        values and only those are reported: averaging independently
         initialized deep networks would destroy the function (neuron
         permutation mismatch), exactly as in FedAvg.
         """
-        if self.whole_model:
-            common = self.clients[0].model.state_dict()
+        if self.share != "classifier":
+            common = self.clients[0].shared_state(self.share)
             for c in self.clients:
-                c.model.load_state_dict(common)
+                c.load_shared_state(common, self.share)
             return {0: ({"data_size": self.clients[0].data_size}, common)}
         return {
             c.client_id: ({"data_size": c.data_size}, c.shared_state()) for c in self.clients
@@ -123,7 +126,7 @@ class InProcessCohort:
         def update(k: int):
             return client_round(
                 self.clients[k], t, state, self.local_epochs, self.config,
-                self.whole_model, self.adversaries,
+                self.share, self.adversaries, self.local_step,
             )
 
         if self.executor is not None:
@@ -154,7 +157,7 @@ class InProcessCohort:
                 tel.health.observe_client(
                     k,
                     drift=measure_drift(client.model.classifier_state(), state),
-                    update_norm=measure_drift(client.shared_state(self.whole_model), state),
+                    update_norm=measure_drift(client.shared_state(self.share), state),
                     bytes_up=payload_nbytes(payloads[k + 1]),
                 )
 

@@ -177,12 +177,14 @@ def client_round(
     state: dict[str, np.ndarray],
     epochs: int,
     config: LocalUpdateConfig,
-    whole_model: bool = False,
+    share: str = "classifier",
     adversaries=None,
+    local_step=None,
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """The client half of Algorithm 1; returns ``(meta, upload)``.
 
-    Adopt the broadcast ``state``, run ``epochs`` of :func:`local_update`
+    Adopt the broadcast ``state`` (the client's ``share`` keys), run
+    ``epochs`` of :func:`local_update` — or of ``local_step``, FedRep's own —
     with it as the proximal reference, and hand back what the client
     uploads — after ``adversaries`` (an ``AdversarySchedule``) corrupted
     it, exactly once per (client, round), if this client is one.  ``meta``
@@ -190,12 +192,12 @@ def client_round(
     ``loss``, ``duration_s``.  An in-process cohort and a TCP worker both
     run this function, which is why they end at the same bytes.
     """
-    client.load_shared_state(state, whole_model)
+    client.load_shared_state(state, share)
     reference = {name: v.copy() for name, v in state.items()}
     t0 = time.perf_counter()
-    loss = local_update(client, epochs, config, reference)
+    loss = (local_step or local_update)(client, epochs, config, reference)
     duration = time.perf_counter() - t0
-    upload = client.shared_state(whole_model)
+    upload = client.shared_state(share)
     if adversaries is not None:
         upload = adversaries.corrupt(client.client_id, round_idx, upload)
     return {"data_size": client.data_size, "loss": loss, "duration_s": duration}, upload

@@ -114,7 +114,7 @@ class _Session:
         self.by_id: dict = {}
         self.trainer_cfg: LocalUpdateConfig | None = None
         self.local_epochs = 1
-        self.share_all = False
+        self.share = "classifier"
         self.current_round = -2  # last round entered (ROUND_START or rejoin)
         self.round_meta: dict = {}
         self.pending: set[int] = set()
@@ -298,7 +298,7 @@ def _run_session(
             spec = _spec_from_wire(cfg["spec"])
             sess.trainer_cfg = LocalUpdateConfig(**cfg.get("trainer", {}))
             sess.local_epochs = int(cfg.get("local_epochs", 1))
-            sess.share_all = bool(cfg.get("share_all_weights", False))
+            sess.share = "all" if cfg.get("share_all_weights") else "classifier"
             clients, _info = build_federation(spec, client_ids=client_ids)
             sess.by_id = {c.client_id: c for c in clients}
             log(f"built {len(sess.by_id)} client(s) from spec seed={spec.seed}")
@@ -317,7 +317,7 @@ def _run_session(
                     Message(
                         MsgType.CLIENT_UPDATE,
                         {"client": k, "round": -1, "data_size": sess.by_id[k].data_size},
-                        sess.by_id[k].shared_state(sess.share_all),
+                        sess.by_id[k].shared_state(sess.share),
                     )
                 )
 
@@ -338,7 +338,7 @@ def _run_session(
                 # client from the current global classifier (best-effort
                 # resume — local feature extractors restart from init)
                 for c in sess.by_id.values():
-                    c.load_shared_state(config.state, sess.share_all)
+                    c.load_shared_state(config.state, sess.share)
                 log(f"bootstrapped {len(sess.by_id)} client(s) from round-{rejoin_round} global")
             _enter_round(conn, sess, opts, rejoin_info, config.state, log)
 
@@ -461,7 +461,7 @@ def _train_and_send(
     with telemetry.context(**ctx_attrs):
         report, payload = client_round(
             sess.by_id[k], t, state, sess.local_epochs, sess.trainer_cfg,
-            sess.share_all, sess.adversaries,
+            sess.share, sess.adversaries,
         )
     if opts.stall_at_round is not None and t == opts.stall_at_round:
         log(f"chaos hook: stalling {opts.stall_s:.1f}s at round {t}")

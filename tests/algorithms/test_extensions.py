@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms import FedAvg, FedBN, FedPer, FedRep
 from repro.federated import FederationSpec, build_federation
+from repro.federated.client import norm_keys
 
 
 def _homo(micro_spec, arch="resnet18"):
@@ -16,11 +17,13 @@ def _homo(micro_spec, arch="resnet18"):
 class TestFedBN:
     def test_bn_keys_identified(self, micro_spec):
         clients = _homo(micro_spec)
-        algo = FedBN(clients, seed=0)
-        assert any("running_mean" in k for k in algo._bn_keys)
-        assert any(k.endswith(".weight") for k in algo._bn_keys)
+        bn_keys = norm_keys(clients[0].model)
+        assert any("running_mean" in k for k in bn_keys)
+        assert any(k.endswith(".weight") for k in bn_keys)
         # conv weights are NOT BN keys
-        assert not any("conv" in k and k in algo._bn_keys for k, _ in clients[0].model.named_parameters())
+        assert not any("conv" in k and k in bn_keys for k, _ in clients[0].model.named_parameters())
+        # and they are exactly what FedBN's clients keep to themselves
+        assert clients[0].shared_keys(FedBN.share) == set(clients[0].model.state_dict()) - bn_keys
 
     def test_bn_stays_local(self, micro_spec):
         clients = _homo(micro_spec)
@@ -77,7 +80,8 @@ class TestFedPer:
         clients = _homo(micro_spec, "cnn2layer")
         algo = FedPer(clients, seed=0)
         algo.run(1)
-        body = payload_nbytes(clients[0].model.feature_extractor.state_dict())
+        body = payload_nbytes(clients[0].shared_state("body"))
+        assert not any(k.startswith("classifier.") for k in clients[0].shared_state("body"))
         assert algo.comm.cost.total_bytes == 8 * body
 
 

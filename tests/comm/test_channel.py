@@ -83,12 +83,6 @@ class TestCollectives:
         with pytest.raises(ValueError):
             SimComm(3).scatter(["x"], root=0, ranks=[1, 2])
 
-    def test_allreduce_sum(self):
-        comm = SimComm(4)
-        arrays = {1: np.ones(3), 2: 2 * np.ones(3), 3: 3 * np.ones(3)}
-        total = comm.allreduce_sum(arrays)
-        assert np.allclose(total, 6)
-
 
 class TestAccounting:
     def test_bytes_recorded(self):

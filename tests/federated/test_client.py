@@ -1,8 +1,12 @@
 """FederatedClient behaviour."""
 
 import numpy as np
+import pytest
 
 from repro.federated import FederatedClient
+from repro.federated.client import norm_keys
+
+SHARES = ("classifier", "body", "all", "all_but_norm")
 from repro.models import build_model
 
 
@@ -88,3 +92,53 @@ class TestClient:
             optimizer_factory=lambda params: SGD(params, lr=0.5),
         )
         assert isinstance(c.optimizer, SGD)
+
+
+def _bn_client():
+    rng = np.random.default_rng(0)
+    model = build_model("resnet18", in_channels=1, num_classes=4, scale="tiny", rng=rng)
+    images = rng.random((8, 1, 8, 8)).astype(np.float32)
+    labels = rng.integers(0, 4, 8)
+    return FederatedClient(0, model, images, labels, images, labels, batch_size=8)
+
+
+class TestSharedKeys:
+    """Which keys cross the wire is decided here, over the model's own state-dict keys."""
+
+    def test_key_sets_partition_the_state_dict(self):
+        c = _bn_client()
+        everything = set(c.model.state_dict())
+        assert c.shared_keys("all") == everything
+        assert c.shared_keys("classifier") == {"classifier.weight", "classifier.bias"}
+        assert c.shared_keys("body") == everything - c.shared_keys("classifier")
+        assert all(k.startswith("feature_extractor.") for k in c.shared_keys("body"))
+        assert c.shared_keys("all_but_norm") == everything - norm_keys(c.model)
+        assert any(k.endswith("num_batches_tracked") for k in norm_keys(c.model))
+
+    def test_unknown_share_is_refused(self):
+        with pytest.raises(KeyError, match="head"):
+            _client().shared_keys("head")
+
+    @pytest.mark.parametrize("share", sorted(SHARES))
+    def test_round_trip_replaces_exactly_the_shared_keys(self, share):
+        c = _bn_client()
+        before = c.model.state_dict()
+        sent = {k: v + 1 for k, v in c.shared_state(share).items()}
+        assert set(sent) == c.shared_keys(share)
+        c.load_shared_state(sent, share)
+        for k, v in c.model.state_dict().items():
+            assert np.array_equal(v, before[k] + 1 if k in sent else before[k])
+
+    @pytest.mark.parametrize("share", sorted(SHARES))
+    def test_broadcast_with_a_missing_or_an_extra_key_raises(self, share):
+        c = _bn_client()
+        before = c.model.state_dict()
+        good = c.shared_state(share)
+        missing = dict(list(good.items())[1:])
+        with pytest.raises(KeyError, match="missing"):
+            c.load_shared_state(missing, share)
+        with pytest.raises(KeyError, match="unexpected .*junk"):
+            c.load_shared_state({**good, "junk": np.zeros(1)}, share)
+        # nothing was loaded partially on the way to the error
+        for k, v in c.model.state_dict().items():
+            assert np.array_equal(v, before[k])
